@@ -65,6 +65,7 @@ import numpy as np
 from repro import obs
 from repro.alphabet import BLOSUM62, GapPenalty
 from repro.engine import (
+    SearchConfig,
     DEFAULT_GROUP_SIZE,
     BatchedEngine,
     build_store,
@@ -188,7 +189,7 @@ def time_antidiagonal(query, db: Database, gaps: GapPenalty) -> float:
 
 def time_batched(query, db, gaps: GapPenalty, *,
                  workers: int, group_size: int,
-                 lane_engine: str = "gotoh") -> tuple[float, object, object]:
+                 engine: str = "batched") -> tuple[float, object, object]:
     """Time one packed-engine configuration; returns ``(seconds,
     EngineReport, collection session)``.
 
@@ -200,14 +201,14 @@ def time_batched(query, db, gaps: GapPenalty, *,
     session so the returned session's counters and histograms describe
     exactly one search.
     """
-    engine = BatchedEngine(
-        BLOSUM62, gaps, group_size=group_size, workers=workers,
-        lane_engine=lane_engine,
+    batched = BatchedEngine(
+        BLOSUM62, gaps,
+        SearchConfig(engine=engine, workers=workers, group_size=group_size),
     )
     holder = {}
 
     def run():
-        holder["out"] = engine.search(query, db)
+        holder["out"] = batched.search(query, db)
 
     warm_seconds = min(_time(run), _time(run))
     with obs.collect("full") as session:
@@ -280,17 +281,17 @@ def run_benchmark(
         db_fanned_obs = _session_observation(session)
     striped_seconds, _, session = time_batched(
         query, db, gaps, workers=1, group_size=group_size,
-        lane_engine="striped",
+        engine="striped",
     )
     striped_obs = _session_observation(session)
     hetero_seconds, hetero_report, session = time_batched(
         query, db, gaps, workers=1, group_size=group_size,
-        lane_engine="hetero",
+        engine="hetero",
     )
     hetero_obs = _session_observation(session)
     hetero_fanned_seconds, _, session = time_batched(
         query, db, gaps, workers=n_workers, group_size=group_size,
-        lane_engine="hetero",
+        engine="hetero",
     )
     hetero_fanned_obs = _session_observation(session)
 

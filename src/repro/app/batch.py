@@ -89,8 +89,6 @@ def search_batch(
     memory_budget: MemoryBudget | None = None,
     collect: str = "off",
     split_threshold: int | str | None = None,
-    strip_cell_cost: float | None = None,
-    striped_column_overhead: float | None = None,
 ) -> tuple[list[SearchResult], BatchReport]:
     """Functionally search every query; returns per-query results plus
     the aggregated report.
@@ -107,13 +105,11 @@ def search_batch(
     striped lane kernel, ``engine="hetero"`` dispatches each packed
     group to the bulk or long-tail strip engine by length threshold
     (``split_threshold``: ``"auto"`` or an integer length, hetero
-    only).  ``strip_cell_cost`` and ``striped_column_overhead``
-    override the ``"auto"`` threshold's cost-model constants for the
-    whole campaign (hetero only, see :meth:`CudaSW.search`).
+    only).
 
-    ``fault_policy`` is applied to every query's search (batched or
-    striped engine only).  The policy's deadline is per query, not per campaign; a
-    query that exceeds it raises
+    ``fault_policy`` is applied to every query's search (packed engines
+    only, :data:`~repro.engine.PACKED_ENGINES`).  The policy's deadline
+    is per query, not per campaign; a query that exceeds it raises
     :class:`~repro.engine.SearchDeadlineExceeded` with that query's
     partial scores attached.
 
@@ -152,8 +148,6 @@ def search_batch(
                 fault_policy=fault_policy, checkpoint=journal_path,
                 resume=resume, memory_budget=memory_budget,
                 split_threshold=split_threshold,
-                strip_cell_cost=strip_cell_cost,
-                striped_column_overhead=striped_column_overhead,
             )
             results.append(result)
             reports.append(report)

@@ -35,11 +35,15 @@ from repro.app.results import SearchResult
 from repro.app.scheduler import schedule_inter_task
 from repro.app.transfer import TransferModel
 from repro.engine import (
+    DEFAULT_GROUP_SIZE,
+    PACKED_ENGINES,
+    SEARCH_ENGINES,
     BatchedEngine,
     DatabaseStore,
     EngineReport,
     FaultPolicy,
     MemoryBudget,
+    SearchConfig,
 )
 from repro.obs import (
     COLLECT_MODES,
@@ -57,9 +61,6 @@ __all__ = ["CudaSW", "SearchReport", "tuned_improved_config", "SEARCH_ENGINES"]
 
 #: The paper's default dispatch threshold.
 DEFAULT_THRESHOLD = 3072
-
-#: Functional score backends selectable in :meth:`CudaSW.search`.
-SEARCH_ENGINES = ("scalar", "antidiagonal", "batched", "striped", "hetero")
 
 
 def tuned_improved_config(device: DeviceSpec) -> ImprovedKernelConfig:
@@ -300,8 +301,6 @@ class CudaSW:
         collect: str = "off",
         memory_phases: bool = False,
         split_threshold: int | str | None = None,
-        strip_cell_cost: float | None = None,
-        striped_column_overhead: float | None = None,
     ) -> tuple[SearchResult, SearchReport]:
         """Compute every database sequence's score, plus the timing report.
 
@@ -332,25 +331,26 @@ class CudaSW:
             bit-identical, which tests verify; they differ only in
             throughput.
         workers:
-            Worker processes for the batched/striped engines' group
-            fan-out (1 = serial; ignored by the per-pair engines).
+            Worker processes for the packed engines' group fan-out
+            (1 = serial; ignored by the per-pair engines).
         group_size:
-            Lanes per packed group for the batched/striped engines
-            (default :data:`~repro.engine.DEFAULT_GROUP_SIZE`).
+            Lanes per packed group for the packed engines (default
+            :data:`~repro.engine.DEFAULT_GROUP_SIZE`).
         fault_policy:
-            :class:`~repro.engine.FaultPolicy` for the batched
-            engine's fan-out: per-task timeout, bounded retries with
-            backoff, and a whole-search deadline (on expiry a
+            :class:`~repro.engine.FaultPolicy` for the packed engines'
+            fan-out: per-task timeout, bounded retries with backoff,
+            and a whole-search deadline (on expiry a
             :class:`~repro.engine.SearchDeadlineExceeded` is raised
-            carrying partial scores).  Only the batched engine
-            dispatches work units, so combining a policy with another
-            engine or ``simulate_kernels`` is an error.
+            carrying partial scores).  Only the packed engines
+            (:data:`~repro.engine.PACKED_ENGINES`) dispatch work units,
+            so combining a policy with a per-pair engine or
+            ``simulate_kernels`` is an error.
         checkpoint:
             Path of a crash-safe write-ahead journal
             (:class:`~repro.engine.CheckpointJournal`): every completed
             group's scores are durably appended as the search runs, so
             a ``SIGKILL``/OOM/reboot costs at most the group in flight.
-            Batched engine only (like ``fault_policy``).  A search that
+            Packed engines only (like ``fault_policy``).  A search that
             dies behind a deadline
             (:class:`~repro.engine.SearchDeadlineExceeded`) leaves its
             completed groups in the journal, so it is resumable too.
@@ -367,7 +367,7 @@ class CudaSW:
             Optional :class:`~repro.engine.MemoryBudget` capping any
             single packed group's estimated sweep working set; oversized
             groups are split at packing time instead of OOM-killing the
-            process (batched engine only; scores unchanged).
+            process (packed engines only; scores unchanged).
         simulate_kernels:
             When true, every pair runs through the dispatched kernel's
             functional simulator instead of ``engine`` (slow; small
@@ -397,15 +397,9 @@ class CudaSW:
             from the packed-group geometry) or an integer length
             ``>= 0`` — sequences at or under it go to the striped bulk
             engine, longer ones to the strip-sweep engine.
-        strip_cell_cost, striped_column_overhead:
-            Cost-model knobs for the ``"auto"`` split threshold
-            (``engine="hetero"`` only): the relative cost of one
-            strip-engine cell versus a striped bulk cell, and the fixed
-            per-column striped overhead.  ``None`` keeps the measured
-            defaults (:data:`~repro.app.threshold.STRIP_CELL_COST`,
-            :data:`~repro.app.threshold.STRIPED_COLUMN_OVERHEAD`); a
-            machine whose measured ratio differs can recalibrate the
-            split without editing the module constants.
+
+        The engine settings are validated once, as a
+        :class:`~repro.engine.SearchConfig`.
         """
         if collect not in COLLECT_MODES:
             raise ValueError(
@@ -427,61 +421,41 @@ class CudaSW:
             raise ValueError("functional search needs a materialized database")
         if query.alphabet != db.alphabet:
             raise ValueError("query and database alphabets differ")
-        if engine not in SEARCH_ENGINES:
-            raise ValueError(
-                f"engine must be one of {SEARCH_ENGINES}, got {engine!r}"
-            )
-        batched_only = {
-            "fault_policy": fault_policy,
-            "checkpoint": checkpoint,
-            "memory_budget": memory_budget,
-        }
-        for name, value in batched_only.items():
-            if value is not None and (
-                engine not in ("batched", "striped", "hetero")
-                or simulate_kernels
-            ):
-                raise ValueError(
-                    f"{name} applies to the batched/striped/hetero "
-                    f"engines only (got engine={engine!r}, "
-                    f"simulate_kernels={simulate_kernels})"
+        config = SearchConfig(
+            engine=engine,
+            workers=workers,
+            group_size=(
+                DEFAULT_GROUP_SIZE if group_size is None else group_size
+            ),
+            split_threshold=split_threshold,
+            memory_budget=memory_budget,
+            fault_policy=fault_policy,
+        )
+        if (simulate_kernels or not config.packed) and (
+            resume
+            or any(
+                value is not None
+                for value in (
+                    checkpoint, fault_policy, memory_budget, split_threshold
                 )
-        if split_threshold is not None and (
-            engine != "hetero" or simulate_kernels
+            )
         ):
             raise ValueError(
-                "split_threshold applies to engine='hetero' only "
-                f"(got engine={engine!r}, "
+                f"checkpoint, resume, fault_policy, memory_budget and "
+                f"split_threshold apply to the packed engines "
+                f"{tuple(PACKED_ENGINES)} only (got engine={engine!r}, "
                 f"simulate_kernels={simulate_kernels})"
             )
-        for name, value in (
-            ("strip_cell_cost", strip_cell_cost),
-            ("striped_column_overhead", striped_column_overhead),
-        ):
-            if value is not None and (
-                engine != "hetero" or simulate_kernels
-            ):
-                raise ValueError(
-                    f"{name} applies to engine='hetero' only "
-                    f"(got engine={engine!r}, "
-                    f"simulate_kernels={simulate_kernels})"
-                )
-        if resume and checkpoint is None:
-            raise ValueError("resume=True requires a checkpoint path")
 
         if collect == "off" or obs_current().enabled:
             return self._search_traced(
-                query, db, engine, workers, group_size, fault_policy,
-                checkpoint, resume, memory_budget, simulate_kernels,
-                split_threshold, strip_cell_cost, striped_column_overhead,
-                store,
+                query, db, store, config, checkpoint, resume,
+                simulate_kernels,
             )
         with obs_collect(collect, memory=memory_phases) as instr:
             result, report = self._search_traced(
-                query, db, engine, workers, group_size, fault_policy,
-                checkpoint, resume, memory_budget, simulate_kernels,
-                split_threshold, strip_cell_cost, striped_column_overhead,
-                store,
+                query, db, store, config, checkpoint, resume,
+                simulate_kernels,
             )
         meta = {
             "query_id": query.id,
@@ -506,18 +480,11 @@ class CudaSW:
         self,
         query: Sequence,
         db: Database,
-        engine: str,
-        workers: int,
-        group_size: int | None,
-        fault_policy: FaultPolicy | None,
+        store: DatabaseStore | None,
+        config: SearchConfig,
         checkpoint: str | os.PathLike | None,
         resume: bool,
-        memory_budget: MemoryBudget | None,
         simulate_kernels: bool,
-        split_threshold: int | str | None = None,
-        strip_cell_cost: float | None = None,
-        striped_column_overhead: float | None = None,
-        store: DatabaseStore | None = None,
     ) -> tuple[SearchResult, SearchReport]:
         """The search pipeline, phases wrapped in ambient-tracer spans."""
         instr = obs_current()
@@ -543,37 +510,10 @@ class CudaSW:
                         scores[i] = kernel.run_pair(
                             q_codes, d_codes, self.matrix, self.gaps
                         ).score
-            elif engine in ("batched", "striped", "hetero"):
-                lane_engine = {
-                    "batched": "gotoh",
-                    "striped": "striped",
-                    "hetero": "hetero",
-                }[engine]
-                batched = BatchedEngine(
-                    self.matrix,
-                    self.gaps,
-                    workers=workers,
-                    fault_policy=fault_policy,
-                    memory_budget=memory_budget,
-                    lane_engine=lane_engine,
-                    split_threshold=(
-                        split_threshold if engine == "hetero" else None
-                    ),
-                    strip_cell_cost=(
-                        strip_cell_cost if engine == "hetero" else None
-                    ),
-                    striped_column_overhead=(
-                        striped_column_overhead
-                        if engine == "hetero"
-                        else None
-                    ),
-                    **(
-                        {}
-                        if group_size is None
-                        else {"group_size": group_size}
-                    ),
-                )
-                scores, self.last_engine_report = batched.search(
+            elif config.packed:
+                scores, self.last_engine_report = BatchedEngine(
+                    self.matrix, self.gaps, config
+                ).search(
                     q_codes,
                     store if store is not None else db,
                     checkpoint=checkpoint,
@@ -582,7 +522,7 @@ class CudaSW:
             else:
                 score_pair = (
                     sw_score_scalar
-                    if engine == "scalar"
+                    if config.engine == "scalar"
                     else sw_score_antidiagonal
                 )
                 with instr.span("pair_loop"):

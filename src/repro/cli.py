@@ -27,6 +27,7 @@ import numpy as np
 from repro.alphabet import BLOSUM62, GapPenalty, load_ncbi_matrix
 from repro.app import CudaSW
 from repro.cuda.device import DEVICES
+from repro.engine import PACKED_ENGINES, SEARCH_ENGINES
 from repro.sequence import read_fasta_file
 from repro.sequence.database import Database
 from repro.sequence.synthetic import PAPER_DATABASES
@@ -53,6 +54,9 @@ def _threshold_arg(value: str):
             f"threshold must be an integer or 'auto', got {value!r}"
         ) from None
 
+
+#: The engines the packed-only flags apply to, for their help text.
+_PACKED = "/".join(PACKED_ENGINES)
 
 _EXHIBITS = (
     "figure2", "figure3", "figure5", "figure6", "figure7",
@@ -133,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--engine",
-        choices=("scalar", "antidiagonal", "batched", "striped", "hetero"),
+        choices=SEARCH_ENGINES,
         default="batched",
         help="functional score backend (all bit-identical): 'batched' "
         "scores whole length-sorted groups per NumPy sweep (default), "
@@ -153,32 +157,20 @@ def build_parser() -> argparse.ArgumentParser:
         "database's packed-group geometry)",
     )
     p_search.add_argument(
-        "--strip-cell-cost", type=float, default=None, metavar="C",
-        help="hetero engine only: relative cost of one strip-engine "
-        "cell vs a striped bulk cell in the 'auto' split cost model "
-        "(default: the measured constant; recalibrate per machine)",
-    )
-    p_search.add_argument(
-        "--striped-col-overhead", type=float, default=None, metavar="C",
-        help="hetero engine only: fixed per-column overhead charged to "
-        "striped bulk groups in the 'auto' split cost model (default: "
-        "the measured constant)",
-    )
-    p_search.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for the batched/striped engines' group "
-        "fan-out (1 = serial)",
+        help=f"worker processes for the group fan-out of the {_PACKED} "
+        "engines (1 = serial)",
     )
     p_search.add_argument(
         "--group-size", type=int, default=None, metavar="N",
         help="lanes per packed group (default: the engine's tuned "
-        "default; batched/striped engines only)",
+        f"default; {_PACKED} engines only)",
     )
     p_search.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="crash-safe write-ahead journal: append each completed "
         "group's scores to PATH (fsync'd, CRC-checked) so a killed "
-        "search can be resumed with --resume (batched engine only)",
+        f"search can be resumed with --resume ({_PACKED} engines only)",
     )
     p_search.add_argument(
         "--resume", action="store_true",
@@ -191,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-budget-mb", type=float, default=None, metavar="MB",
         help="cap any single group's estimated sweep working set at MB "
         "mebibytes; oversized groups are split at packing time instead "
-        "of OOM-killing the process (batched engine only)",
+        f"of OOM-killing the process ({_PACKED} engines only)",
     )
     p_search.add_argument(
         "--scores-out", metavar="PATH", default=None,
@@ -201,18 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="abandon and retry any dispatched work unit running longer "
-        "than this (batched engine with --workers > 1; default: never)",
+        f"than this ({_PACKED} engines with --workers > 1; default: "
+        "never)",
     )
     p_search.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="pool retries per failed/timed-out work unit before it is "
-        "recomputed serially (batched engine; default: 2)",
+        f"recomputed serially ({_PACKED} engines; default: 2)",
     )
     p_search.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="whole-search wall-clock budget; on expiry the search "
-        "aborts with the partial completion summary (batched engine; "
-        "default: none)",
+        "aborts with the partial completion summary "
+        f"({_PACKED} engines; default: none)",
     )
     p_search.add_argument(
         "--profile", action="store_true",
@@ -427,8 +420,6 @@ def _cmd_search(args, out: IO[str]) -> int:
             if args.memory_budget_mb is None
             else MemoryBudget.from_megabytes(args.memory_budget_mb)
         )
-        if args.resume and args.checkpoint is None:
-            raise ValueError("--resume requires --checkpoint PATH")
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
@@ -482,8 +473,6 @@ def _cmd_search(args, out: IO[str]) -> int:
                 checkpoint=args.checkpoint, resume=args.resume,
                 memory_budget=memory_budget,
                 split_threshold=args.split_threshold,
-                strip_cell_cost=args.strip_cell_cost,
-                striped_column_overhead=args.striped_col_overhead,
             )
         except SearchDeadlineExceeded as exc:
             done = (

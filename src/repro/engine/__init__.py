@@ -27,16 +27,18 @@ if TYPE_CHECKING:
     from repro.sequence.sequence import Sequence
 
 from repro.alphabet import GapPenalty, SubstitutionMatrix
-from repro.engine.budget import (
-    MemoryBudget,
-    estimate_group_bytes,
-    estimate_strip_group_bytes,
-)
+from repro.engine.budget import MemoryBudget, estimate_group_bytes
 from repro.engine.checkpoint import (
     CheckpointError,
     CheckpointJournal,
     atomic_write_text,
     search_fingerprint,
+)
+from repro.engine.config import (
+    DEFAULT_GROUP_SIZE,
+    PACKED_ENGINES,
+    SEARCH_ENGINES,
+    SearchConfig,
 )
 from repro.engine.dbstore import (
     DatabaseFormatError,
@@ -53,21 +55,17 @@ from repro.engine.faults import (
     InjectionPlan,
     SearchDeadlineExceeded,
 )
+from repro.engine.kernels import LANE_KERNELS, LaneKernel
 from repro.engine.lanes import padded_lane_profile, score_packed_group
 from repro.engine.pack import (
     DEFAULT_STRIP_WIDTH,
-    TAIL_EFFICIENCY_FLOOR,
     PackedGroup,
     _record_pack_counters,
     pack_database,
     pack_database_hetero,
     pack_group,
 )
-from repro.engine.striped import (
-    LANE_ENGINES,
-    count_striped_work,
-    score_packed_group_striped,
-)
+from repro.engine.striped import score_packed_group_striped
 from repro.engine.strips import score_packed_group_strips
 from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.database import Database
@@ -84,15 +82,16 @@ __all__ = [
     "EngineReport",
     "FaultPolicy",
     "InjectionPlan",
+    "LaneKernel",
     "MemoryBudget",
     "PackedGroup",
+    "SearchConfig",
     "SearchDeadlineExceeded",
     "StoreGroupRef",
     "StripedProfile",
     "atomic_write_text",
     "build_store",
     "build_store_from_fasta",
-    "count_striped_work",
     "estimate_group_bytes",
     "open_database",
     "pack_database",
@@ -109,25 +108,21 @@ __all__ = [
     "DEFAULT_GROUP_SIZE",
     "DEFAULT_POLICY",
     "DEFAULT_STRIP_WIDTH",
-    "LANE_ENGINES",
+    "LANE_KERNELS",
+    "PACKED_ENGINES",
+    "SEARCH_ENGINES",
 ]
 
-#: Default lanes per group.  Large enough that vectorized work dwarfs the
-#: per-row interpreter overhead, small enough that a length-sorted
-#: group's padded rectangle stays tight on log-normal (Swiss-Prot-shaped)
-#: length distributions, whose heavy tail dominates a too-wide last
-#: group — and several groups exist to fan out across workers.
-DEFAULT_GROUP_SIZE = 128
-
-#: Smallest search (query length x padded database cells) worth fanning
-#: out to worker processes.  Below this, pool spin-up plus per-chunk
-#: group pickling costs more than the sweep itself — BENCH_engine.json
-#: showed ``workers=2`` *losing* to serial on the 1,000-sequence
-#: benchmark (1.28s vs 1.18s), whose ~90M padded cells sit well under
-#: this line.  Searches smaller than the threshold are demoted to the
-#: serial path (counted as ``engine.executor.fanout_demotions``); an
-#: explicit non-default fault policy suppresses the demotion, since
-#: fault-injection and timeout semantics need the pool.
+#: Smallest FASTA-backed search (query length x padded database cells)
+#: worth fanning out to worker processes.  Below this, pool spin-up plus
+#: per-chunk group pickling costs more than the sweep itself —
+#: BENCH_engine.json showed ``workers=2`` *losing* to serial on the
+#: 1,000-sequence benchmark (1.28s vs 1.18s), whose ~90M padded cells
+#: sit well under this line.  Searches smaller than the threshold are
+#: demoted to the serial path (counted as
+#: ``engine.executor.fanout_demotions``); an explicit fault policy
+#: suppresses the demotion, since fault-injection and timeout semantics
+#: need the pool.
 DEFAULT_FANOUT_MIN_CELLS = 256 * 1024 * 1024
 
 #: Fan-out floor for *store-backed* searches.  With a pre-packed
@@ -136,8 +131,7 @@ DEFAULT_FANOUT_MIN_CELLS = 256 * 1024 * 1024
 #: :class:`~repro.engine.dbstore.StoreGroupRef` index vectors and each
 #: worker packs from its own memmap), so fanning out pays for itself on
 #: much smaller searches than the FASTA path's
-#: :data:`DEFAULT_FANOUT_MIN_CELLS`.  Applied only when the caller left
-#: ``fanout_min_cells`` at its default.
+#: :data:`DEFAULT_FANOUT_MIN_CELLS`.
 DEFAULT_DB_FANOUT_MIN_CELLS = 32 * 1024 * 1024
 
 
@@ -147,10 +141,10 @@ class EngineReport:
 
     ``group_efficiencies`` is the per-group sweep efficiency — the
     functional analogue of the paper's Figure 2 load-balance efficiency:
-    useful residues over the cells the group's assigned engine sweeps
-    (the padded ``size x max_len`` rectangle for batched groups, the
-    bounded strip total for strip groups; identical for single-engine
-    searches).  ``padded_cells`` aggregates the same quantity.
+    useful residues over the cells the group's lane kernel sweeps (the
+    padded ``size x max_len`` rectangle for row and column sweeps, the
+    bounded strip total for strip groups).  ``padded_cells`` aggregates
+    the same quantity.
     """
 
     group_size: int
@@ -160,12 +154,10 @@ class EngineReport:
     group_efficiencies: tuple[float, ...]
     residues: int
     padded_cells: int
-    lane_engine: str = "gotoh"
-    #: Resolved per-group engine assignment (one entry per group).
-    #: Empty for homogeneous searches from older call sites.
-    lane_engines: tuple[str, ...] = ()
+    #: The lane kernel each group was swept with (one entry per group).
+    lane_engines: tuple[str, ...]
     #: The length threshold a heterogeneous search dispatched on
-    #: (``None`` for single-engine searches).
+    #: (``None`` for single-kernel searches).
     split_threshold: int | None = None
 
     @property
@@ -187,138 +179,43 @@ class EngineReport:
 class BatchedEngine:
     """Score whole database groups per NumPy sweep.
 
-    Parameters
-    ----------
-    matrix, gaps:
-        The scoring model, shared by every search through this engine.
-    group_size:
-        Lanes per packed group (the inter-task kernel's ``s``).
-    workers:
-        Worker processes to fan groups out across; 1 (default) runs
-        serially and never touches multiprocessing.
-    fault_policy:
-        :class:`~repro.engine.faults.FaultPolicy` governing per-task
-        timeout, retries with backoff, the whole-search deadline and
-        fault injection (default: :data:`~repro.engine.faults.
-        DEFAULT_POLICY` — no timeout, no deadline, pool failures
-        recovered serially).
-    memory_budget:
-        Optional :class:`~repro.engine.budget.MemoryBudget`; oversized
-        groups are split at packing time so a single sweep can never
-        allocate past the budget (OOM guard, scores unchanged).
-    lane_engine:
-        Per-group score kernel: ``"gotoh"`` (default, the row-parallel
-        sweep of :mod:`~repro.engine.lanes`), ``"striped"`` (the
-        Farrar engine of :mod:`~repro.engine.striped`), ``"strips"``
-        (the long-tail strip sweep of :mod:`~repro.engine.strips`) or
-        ``"hetero"`` — the paper's length-threshold split: sequences at
-        or under the split threshold pack into striped bulk groups,
-        longer ones into strip groups, mixed in one search.  Scores are
-        bit-identical; only throughput differs.
-    split_threshold:
-        Heterogeneous dispatch threshold — ``"auto"`` (default for
-        ``lane_engine="hetero"``; tuned per database by the
-        :func:`repro.app.threshold.tune_split_threshold` cost model
-        from the packed-group geometry) or a length ``>= 0``.  Only
-        valid with ``lane_engine="hetero"``.
-    strip_width:
-        Strip width for tail groups under heterogeneous dispatch or
-        ``lane_engine="strips"`` (``None`` =
-        :data:`~repro.engine.pack.DEFAULT_STRIP_WIDTH`).
-    strip_cell_cost, striped_column_overhead:
-        Cost-model knobs for the ``"auto"`` split threshold: the
-        relative cost of one strip-engine cell versus a striped bulk
-        cell, and the fixed per-column overhead charged to striped
-        groups (``None`` = the measured defaults
-        :data:`~repro.app.threshold.STRIP_CELL_COST` /
-        :data:`~repro.app.threshold.STRIPED_COLUMN_OVERHEAD`).  They
-        shift where the length split lands on a given machine; scores
-        are unaffected.
-    fanout_min_cells:
-        Smallest search (query length x padded cells) worth a worker
-        pool; smaller searches run serially even with ``workers > 1``
-        (``None`` uses :data:`DEFAULT_FANOUT_MIN_CELLS`, ``0`` disables
-        the demotion).  Ignored when a non-default ``fault_policy`` is
-        set — injected faults, timeouts and deadlines keep pool
-        semantics regardless of size.
+    ``matrix`` and ``gaps`` are the scoring model, shared by every
+    search through this engine.  ``config`` is the validated
+    :class:`~repro.engine.config.SearchConfig`; its engine must be one
+    of :data:`PACKED_ENGINES`:
+
+    * ``"batched"`` (the default) sweeps every group with the ``gotoh``
+      row kernel, ``"striped"`` with the Farrar ``striped`` kernel;
+    * ``"hetero"`` is the paper's length-threshold split: sequences at
+      or under ``config.split_threshold`` pack into ``striped`` bulk
+      groups, longer ones into ``strips`` groups, in one search.
+
+    Every group is stamped with its kernel at pack time and swept
+    through :data:`LANE_KERNELS`.  Scores are bit-identical on every
+    engine; only throughput differs.
+
+    With ``workers > 1`` a search smaller than the fan-out floor still
+    runs serially (counted as ``engine.executor.fanout_demotions``):
+    :data:`DEFAULT_DB_FANOUT_MIN_CELLS` for a store-backed search,
+    :data:`DEFAULT_FANOUT_MIN_CELLS` otherwise.  An explicit
+    ``fault_policy`` always keeps the pool, since injected faults,
+    timeouts and deadlines need its semantics.
     """
 
     def __init__(
         self,
         matrix: SubstitutionMatrix,
         gaps: GapPenalty,
-        *,
-        group_size: int = DEFAULT_GROUP_SIZE,
-        workers: int = 1,
-        fault_policy: FaultPolicy | None = None,
-        memory_budget: MemoryBudget | None = None,
-        lane_engine: str = "gotoh",
-        fanout_min_cells: int | None = None,
-        split_threshold: int | str | None = None,
-        strip_width: int | None = None,
-        strip_cell_cost: float | None = None,
-        striped_column_overhead: float | None = None,
+        config: SearchConfig = SearchConfig(),
     ) -> None:
-        if group_size <= 0:
-            raise ValueError(f"group size must be positive, got {group_size}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if lane_engine not in (*LANE_ENGINES, "hetero"):
+        if not config.packed:
             raise ValueError(
-                f"lane_engine must be one of "
-                f"{(*LANE_ENGINES, 'hetero')}, got {lane_engine!r}"
-            )
-        if fanout_min_cells is not None and fanout_min_cells < 0:
-            raise ValueError(
-                f"fanout_min_cells must be >= 0, got {fanout_min_cells}"
-            )
-        if split_threshold is not None and lane_engine != "hetero":
-            raise ValueError(
-                "split_threshold is only valid with lane_engine='hetero'"
-            )
-        if lane_engine == "hetero" and split_threshold is None:
-            split_threshold = "auto"
-        if isinstance(split_threshold, str) and split_threshold != "auto":
-            raise ValueError(
-                f"split_threshold must be 'auto' or an integer >= 0, "
-                f"got {split_threshold!r}"
-            )
-        if isinstance(split_threshold, int) and split_threshold < 0:
-            raise ValueError(
-                f"split_threshold must be >= 0, got {split_threshold}"
-            )
-        if strip_width is not None and strip_width <= 0:
-            raise ValueError(
-                f"strip_width must be positive, got {strip_width}"
-            )
-        if strip_cell_cost is not None and strip_cell_cost <= 0:
-            raise ValueError(
-                f"strip_cell_cost must be positive, got {strip_cell_cost}"
-            )
-        if striped_column_overhead is not None and striped_column_overhead < 0:
-            raise ValueError(
-                f"striped_column_overhead must be >= 0, "
-                f"got {striped_column_overhead}"
+                f"BatchedEngine runs the packed engines "
+                f"{tuple(PACKED_ENGINES)}, got engine={config.engine!r}"
             )
         self.matrix = matrix
         self.gaps = gaps
-        self.group_size = group_size
-        self.workers = workers
-        self.fault_policy = fault_policy or DEFAULT_POLICY
-        self.memory_budget = memory_budget
-        self.lane_engine = lane_engine
-        self.split_threshold = split_threshold
-        self.strip_width = strip_width
-        self.strip_cell_cost = strip_cell_cost
-        self.striped_column_overhead = striped_column_overhead
-        self.fanout_min_cells = (
-            DEFAULT_FANOUT_MIN_CELLS
-            if fanout_min_cells is None
-            else fanout_min_cells
-        )
-        # Store-backed searches swap in the (lower) DB fan-out floor,
-        # but only when the caller didn't choose a floor explicitly.
-        self._fanout_default = fanout_min_cells is None
+        self.config = config
 
     def search(
         self,
@@ -369,54 +266,56 @@ class BatchedEngine:
         checkpointed search is resumable too.
         """
         if resume and checkpoint is None:
-            raise ValueError("resume=True requires a checkpoint path")
+            raise ValueError(
+                "resume requires a checkpoint journal path "
+                "(checkpoint= / --checkpoint)"
+            )
+        cfg = self.config
         store: DatabaseStore | None = None
         if isinstance(db, DatabaseStore):
             store = db
             db = store.database
         instr = obs_current()
+        # A single-kernel engine's kernel; hetero (None) stamps each
+        # group with its own kernel at pack time.
+        name = PACKED_ENGINES[cfg.engine]
+        kernel = None if name is None else LANE_KERNELS[name]
         with instr.span("profile_build"):
             q_codes = as_codes(query, self.matrix)
-            # Built once per search; the striped profile wraps the plain
-            # one (as its exact-fallback tier) so either engine costs
-            # one profile build.  Heterogeneous searches start from the
-            # plain profile — the executor builds the striped flavor
-            # lazily iff bulk groups actually exist.
-            profile: QueryProfile | StripedProfile
-            if self.lane_engine == "striped":
-                profile = StripedProfile(q_codes, self.matrix)
-            else:
-                profile = QueryProfile(q_codes, self.matrix)
+            # Built once per search, in the kernel's flavour (the striped
+            # profile wraps the plain one as its exact-fallback tier).
+            # Hetero starts from the plain profile: the executor builds
+            # the striped flavour lazily iff bulk groups exist.
+            flavour = QueryProfile if kernel is None else kernel.profile
+            profile = flavour(q_codes, self.matrix)
         threshold: int | None = None
         with instr.span("pack"):
-            if self.lane_engine == "hetero":
+            if kernel is None:
                 threshold = self._resolve_threshold(db)
                 if store is not None:
                     # The split depends on the query-time threshold, so
-                    # stored single-engine geometry cannot be reused —
+                    # stored single-kernel geometry cannot be reused —
                     # but the re-plan reads only the index lengths
                     # (already in memory), never the residue memmap.
                     instr.count("engine.dbstore.geometry_replanned", 1)
                 groups = pack_database_hetero(
-                    db,
-                    self.group_size,
-                    threshold,
-                    budget=self.memory_budget,
-                    strip_width=self.strip_width,
+                    db, cfg.group_size, threshold, budget=cfg.memory_budget
                 )
                 if instr.enabled:
                     self._count_dispatch(instr, groups, threshold)
-            elif store is not None and store.group_size == self.group_size:
+            elif store is not None and store.group_size == cfg.group_size:
                 # Reuse the geometry planned once at build time: the
                 # stored ranges are exactly what plan_chunks would
                 # produce (deep verification proves it), with the
                 # search-time memory budget applied on top.
                 plan = store.plan_for(
-                    "column" if self.lane_engine == "striped" else "row",
-                    budget=self.memory_budget,
+                    kernel.plan_kind, budget=cfg.memory_budget
                 )
                 groups = [
-                    pack_group(db, store.sort_order[start:end])
+                    pack_group(
+                        db, store.sort_order[start:end],
+                        lane_engine=kernel.name,
+                    )
                     for start, end in plan.ranges
                 ]
                 instr.count("engine.dbstore.geometry_reused", 1)
@@ -427,26 +326,23 @@ class BatchedEngine:
                     # group_size differs from the store's build-time
                     # geometry: plan from the index lengths instead.
                     instr.count("engine.dbstore.geometry_replanned", 1)
-                # The striped column sweep opts out of the gap split:
-                # its cost scales with column iterations, not padded
-                # cells (see pack_database).
                 groups = pack_database(
                     db,
-                    self.group_size,
-                    budget=self.memory_budget,
-                    tail_floor=(
-                        0.0 if self.lane_engine == "striped"
-                        else TAIL_EFFICIENCY_FLOOR
-                    ),
+                    cfg.group_size,
+                    budget=cfg.memory_budget,
+                    tail_floor=kernel.tail_floor,
+                    lane_engine=kernel.name,
                 )
-        workers = self.workers
-        fanout_floor = self.fanout_min_cells
-        if store is not None and self._fanout_default:
-            fanout_floor = DEFAULT_DB_FANOUT_MIN_CELLS
+        workers = cfg.workers
+        policy = cfg.fault_policy or DEFAULT_POLICY
+        fanout_floor = (
+            DEFAULT_FANOUT_MIN_CELLS
+            if store is None
+            else DEFAULT_DB_FANOUT_MIN_CELLS
+        )
         if (
             workers > 1
-            and self.fault_policy is DEFAULT_POLICY
-            and fanout_floor
+            and policy is DEFAULT_POLICY
             and profile.length * sum(g.sweep_cells for g in groups)
             < fanout_floor
         ):
@@ -460,14 +356,14 @@ class BatchedEngine:
         on_scored: Callable[[int, np.ndarray], None] | None = None
         if checkpoint is not None:
             fingerprint = search_fingerprint(
-                q_codes, self.matrix, self.gaps, self.group_size, db,
+                q_codes, self.matrix, self.gaps, cfg.group_size, db,
                 budget_bytes=(
                     0
-                    if self.memory_budget is None
-                    else self.memory_budget.max_group_bytes
+                    if cfg.memory_budget is None
+                    else cfg.memory_budget.max_group_bytes
                 ),
                 engines=tuple(
-                    self._engine_token(g) for g in groups
+                    LANE_KERNELS[g.lane_engine].token(g) for g in groups
                 ),
                 store_fingerprint=(
                     store.fingerprint if store is not None else ""
@@ -498,16 +394,9 @@ class BatchedEngine:
                     groups,
                     self.gaps,
                     workers=workers,
-                    policy=self.fault_policy,
+                    policy=policy,
                     preloaded=preloaded or None,
                     on_group_scored=on_scored,
-                    # Heterogeneous groups carry their own assignment;
-                    # the default only covers unassigned groups.
-                    lane_engine=(
-                        "gotoh"
-                        if self.lane_engine == "hetero"
-                        else self.lane_engine
-                    ),
                     store=store,
                 )
             except SearchDeadlineExceeded as exc:
@@ -527,16 +416,8 @@ class BatchedEngine:
             # sweep phases against what the MemoryBudget estimator
             # predicted for the widest group: an underestimate here
             # means the OOM guard's split points are too optimistic.
-            # Strip groups sweep a (total_strips, W) working set, not
-            # the packed rectangle — predict from the cells each
-            # engine actually allocates.
             predicted = max(
-                (
-                    estimate_strip_group_bytes(g.sweep_cells)
-                    if g.lane_engine == "strips"
-                    else estimate_group_bytes(g.size, g.max_length)
-                    for g in groups
-                ),
+                (LANE_KERNELS[g.lane_engine].working_set(g) for g in groups),
                 default=0,
             )
             observed = max(
@@ -555,50 +436,31 @@ class BatchedEngine:
             for group, lane_scores in zip(groups, per_group):
                 scores[group.indices] = lane_scores
         report = EngineReport(
-            group_size=self.group_size,
-            workers=self.workers,
+            group_size=cfg.group_size,
+            workers=cfg.workers,
             group_sizes=tuple(g.size for g in groups),
             group_max_lengths=tuple(g.max_length for g in groups),
             group_efficiencies=tuple(g.sweep_efficiency for g in groups),
             residues=sum(g.residues for g in groups),
             padded_cells=sum(g.sweep_cells for g in groups),
-            lane_engine=self.lane_engine,
-            lane_engines=tuple(
-                g.lane_engine or self.lane_engine for g in groups
-            ),
+            lane_engines=tuple(g.lane_engine for g in groups),
             split_threshold=threshold,
         )
         return scores, report
 
     def _resolve_threshold(self, db: Database) -> int:
-        """Resolve the heterogeneous split threshold for one database."""
-        if self.split_threshold == "auto":
-            # Imported at call time: repro.app.threshold builds CudaSW
-            # apps for its sweep API, so a module-level import would be
-            # circular.
-            from repro.app.threshold import (
-                STRIP_CELL_COST,
-                STRIPED_COLUMN_OVERHEAD,
-                tune_split_threshold,
-            )
+        """The heterogeneous split threshold for one database: the
+        configured length, or the cost model's pick for ``"auto"``."""
+        threshold = self.config.split_threshold
+        if isinstance(threshold, int):
+            return threshold
+        # Imported at call time: repro.app.threshold builds CudaSW apps
+        # for its sweep API, so a module-level import would be circular.
+        from repro.app.threshold import tune_split_threshold
 
-            return tune_split_threshold(
-                db.lengths,
-                group_size=self.group_size,
-                strip_width=self.strip_width or DEFAULT_STRIP_WIDTH,
-                strip_cell_cost=(
-                    STRIP_CELL_COST
-                    if self.strip_cell_cost is None
-                    else self.strip_cell_cost
-                ),
-                column_overhead=(
-                    STRIPED_COLUMN_OVERHEAD
-                    if self.striped_column_overhead is None
-                    else self.striped_column_overhead
-                ),
-            )
-        assert isinstance(self.split_threshold, int)
-        return self.split_threshold
+        return tune_split_threshold(
+            db.lengths, group_size=self.config.group_size
+        )
 
     def _count_dispatch(
         self,
@@ -607,8 +469,9 @@ class BatchedEngine:
         threshold: int,
     ) -> None:
         """Charge the ``engine.dispatch.*`` counters for one split."""
-        tail = [g for g in groups if g.lane_engine == "strips"]
-        bulk = [g for g in groups if g.lane_engine != "strips"]
+        # Bulk groups hold exactly the sequences at or under the split.
+        bulk = [g for g in groups if g.max_length <= threshold]
+        tail = [g for g in groups if g.max_length > threshold]
         instr.count("engine.dispatch.bulk_groups", len(bulk))
         instr.count("engine.dispatch.tail_groups", len(tail))
         instr.count(
@@ -620,13 +483,5 @@ class BatchedEngine:
         instr.counters.record_max(
             "engine.dispatch.split_threshold", threshold
         )
-        if self.split_threshold == "auto":
+        if not isinstance(self.config.split_threshold, int):
             instr.count("engine.dispatch.auto_tuned", 1)
-
-    def _engine_token(self, group: PackedGroup) -> str:
-        """Fingerprint token for one group's resolved engine."""
-        engine = group.lane_engine or self.lane_engine
-        if engine == "strips":
-            width = group.strip_width or DEFAULT_STRIP_WIDTH
-            return f"strips:{width}"
-        return engine

@@ -208,7 +208,7 @@ class StoreGroupRef:
     """
 
     indices: np.ndarray
-    lane_engine: str | None = None
+    lane_engine: str = "gotoh"
     strip_width: int | None = None
 
     @classmethod

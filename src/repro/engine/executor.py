@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import TYPE_CHECKING, Callable, Sequence, cast
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -53,13 +53,8 @@ from repro.engine.faults import (
     auto_chunksize,
 )
 from repro.engine.dbstore import DatabaseStore, StoreGroupRef, open_database
-from repro.engine.lanes import score_packed_group
+from repro.engine.kernels import LANE_KERNELS
 from repro.engine.pack import PackedGroup
-from repro.engine.striped import (
-    LANE_ENGINES,
-    score_packed_group_striped,
-)
-from repro.engine.strips import score_packed_group_strips
 from repro.obs import (
     AnyInstrumentation,
     Instrumentation,
@@ -77,37 +72,24 @@ __all__ = ["run_groups"]
 _WORKER_STATE: dict = {}
 
 
-def _profile_kind(engine: str) -> str:
-    """Profile flavor an engine sweeps with: the striped engine needs
-    the two-tier :class:`StripedProfile`; the row and strip sweeps share
-    one plain :class:`QueryProfile`."""
-    return "striped" if engine == "striped" else "base"
-
-
-def _profile_for(
-    cache: dict[str, QueryProfile | StripedProfile],
-    engine: str,
+def _score_group(
+    group: PackedGroup,
+    gaps: GapPenalty,
+    profiles: dict[type, QueryProfile | StripedProfile],
     query_codes: np.ndarray,
     matrix: SubstitutionMatrix,
-) -> QueryProfile | StripedProfile:
-    """Fetch (building lazily, at most once per flavor) the profile for
-    ``engine``.  Lazy construction is what lets a mixed-engine search
-    pay for exactly the profile flavors its groups actually use."""
-    kind = _profile_kind(engine)
-    if kind not in cache:
-        if kind == "striped":
-            cache[kind] = StripedProfile(query_codes, matrix)
-        else:
-            cache[kind] = QueryProfile(query_codes, matrix)
-    return cache[kind]
+) -> np.ndarray:
+    """Score one group with the lane kernel it is stamped with.
 
-
-def _seed_profile_cache(
-    profile: QueryProfile | StripedProfile,
-) -> dict[str, QueryProfile | StripedProfile]:
-    """Start a profile cache from an already-built profile."""
-    kind = "striped" if isinstance(profile, StripedProfile) else "base"
-    return {kind: profile}
+    ``profiles`` caches the query-profile flavours built so far, at most
+    one each, so a mixed-kernel search pays only for the flavours its
+    groups use.
+    """
+    kernel = LANE_KERNELS[group.lane_engine]
+    if kernel.profile not in profiles:
+        profiles[kernel.profile] = kernel.profile(query_codes, matrix)
+    scores: np.ndarray = kernel.score(profiles[kernel.profile], group, gaps)
+    return scores
 
 
 def _init_worker(
@@ -115,7 +97,6 @@ def _init_worker(
     matrix: SubstitutionMatrix,
     gaps: GapPenalty,
     inject: InjectionPlan | None,
-    lane_engine: str = "gotoh",
     collect_mode: str = "off",
     store_path: str | None = None,
     store_fingerprint: str | None = None,
@@ -123,7 +104,6 @@ def _init_worker(
     _WORKER_STATE["query_codes"] = query_codes
     _WORKER_STATE["matrix"] = matrix
     _WORKER_STATE["profiles"] = {}
-    _WORKER_STATE["lane_engine"] = lane_engine
     _WORKER_STATE["gaps"] = gaps
     _WORKER_STATE["inject"] = inject
     _WORKER_STATE["tasks_done"] = 0
@@ -137,7 +117,10 @@ def _init_worker(
         # pool — the parent's serial recovery path then rescores from
         # its own copy, which is always correct.
         store = open_database(store_path, verify="fast")
-        assert isinstance(store, DatabaseStore)
+        if not isinstance(store, DatabaseStore):
+            raise RuntimeError(
+                f"{store_path} did not open as a database store"
+            )
         if (
             store_fingerprint is not None
             and store.fingerprint != store_fingerprint
@@ -180,7 +163,6 @@ def _score_chunk_groups(
     payload: list[tuple[int, PackedGroup | StoreGroupRef]],
 ) -> list[np.ndarray]:
     gaps = _WORKER_STATE["gaps"]
-    default_engine = _WORKER_STATE.get("lane_engine", "gotoh")
     inject: InjectionPlan | None = _WORKER_STATE.get("inject")
     store: DatabaseStore | None = _WORKER_STATE.get("store")
     instr = obs_current()
@@ -195,13 +177,6 @@ def _score_chunk_groups(
             group = shipped.materialize(store)
         else:
             group = shipped
-        engine = group.lane_engine or default_engine
-        profile = _profile_for(
-            _WORKER_STATE["profiles"],
-            engine,
-            _WORKER_STATE["query_codes"],
-            _WORKER_STATE["matrix"],
-        )
         garbage = False
         if inject is not None:
             garbage = inject.apply(group_index, _WORKER_STATE["tasks_done"])
@@ -209,22 +184,11 @@ def _score_chunk_groups(
         with instr.span("sweep"):
             if garbage:
                 out.append(np.zeros(0, dtype=np.int64))
-            elif engine == "striped":
-                out.append(
-                    score_packed_group_striped(
-                        cast(StripedProfile, profile), group, gaps
-                    )
-                )
-            elif engine == "strips":
-                out.append(
-                    score_packed_group_strips(
-                        cast(QueryProfile, profile), group, gaps
-                    )
-                )
             else:
                 out.append(
-                    score_packed_group(
-                        cast(QueryProfile, profile), group, gaps
+                    _score_group(
+                        group, gaps, _WORKER_STATE["profiles"],
+                        _WORKER_STATE["query_codes"], _WORKER_STATE["matrix"],
                     )
                 )
         if instr.enabled:
@@ -245,7 +209,6 @@ def run_groups(
     policy: FaultPolicy | None = None,
     preloaded: dict[int, np.ndarray] | None = None,
     on_group_scored: Callable[[int, np.ndarray], None] | None = None,
-    lane_engine: str = "gotoh",
     store: DatabaseStore | None = None,
 ) -> list[np.ndarray]:
     """Score every group, serially or across ``workers`` processes.
@@ -264,16 +227,14 @@ def run_groups(
     checkpoint journal's append hook; preloaded groups do not re-fire
     it.
 
-    ``lane_engine`` is the *default* per-group score kernel:
-    ``"gotoh"`` (the row-parallel sweep), ``"striped"`` (the Farrar
-    engine) or ``"strips"`` (the long-tail strip sweep).  A group whose
-    :attr:`~repro.engine.pack.PackedGroup.lane_engine` is set overrides
-    the default — the engine is a per-group decision, which is how
+    Each group is swept by the lane kernel it was stamped with at pack
+    time (:attr:`~repro.engine.pack.PackedGroup.lane_engine`, looked up
+    in :data:`~repro.engine.kernels.LANE_KERNELS`), which is how
     heterogeneous dispatch mixes bulk and tail kernels in one search.
-    The profile flavor each kernel needs is built lazily from the
+    The profile flavour each kernel needs is built lazily from the
     passed profile's query codes and matrix.  Scores are bit-identical
-    on every engine, so checkpoints and fault handling stay
-    engine-agnostic.
+    on every kernel, so checkpoints and fault handling stay
+    kernel-agnostic.
 
     ``store`` (an open :class:`~repro.engine.dbstore.DatabaseStore`
     whose groups these are) switches the pool dispatch to *reference*
@@ -286,16 +247,12 @@ def run_groups(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if lane_engine not in LANE_ENGINES:
+    unknown = {g.lane_engine for g in groups} - LANE_KERNELS.keys()
+    if unknown:
         raise ValueError(
-            f"lane_engine must be one of {LANE_ENGINES}, got {lane_engine!r}"
+            f"unknown lane kernel(s) {sorted(unknown)}; expected one of "
+            f"{sorted(LANE_KERNELS)}"
         )
-    for g in groups:
-        if g.lane_engine is not None and g.lane_engine not in LANE_ENGINES:
-            raise ValueError(
-                f"group lane_engine must be one of {LANE_ENGINES}, "
-                f"got {g.lane_engine!r}"
-            )
     policy = policy or DEFAULT_POLICY
     instr = obs_current()
     clock = DeadlineClock(policy.deadline)
@@ -307,12 +264,11 @@ def run_groups(
         _score_serial(
             profile, groups, gaps, instr, clock, results,
             span_name="sweep", indices=pending, sink=on_group_scored,
-            lane_engine=lane_engine,
         )
         return [results[i] for i in range(len(groups))]
     return _run_pool(
         profile, groups, gaps, workers, policy, instr, clock,
-        results, pending, on_group_scored, lane_engine, store,
+        results, pending, on_group_scored, store,
     )
 
 
@@ -326,35 +282,23 @@ def _score_serial(
     span_name: str,
     indices: list[int] | None = None,
     sink: Callable[[int, np.ndarray], None] | None = None,
-    lane_engine: str = "gotoh",
 ) -> None:
     """Score ``indices`` (default: all unscored) into ``results``,
     checking the deadline between groups."""
     todo = range(len(groups)) if indices is None else indices
-    profiles = _seed_profile_cache(profile)
+    profiles: dict[type, QueryProfile | StripedProfile] = {
+        type(profile): profile
+    }
     for i in todo:
         if i in results:
             continue
         if clock.expired():
             _raise_deadline(instr, clock, results, len(groups))
-        engine = groups[i].lane_engine or lane_engine
-        group_profile = _profile_for(
-            profiles, engine, profile.query_codes, profile.matrix
-        )
         started = time.perf_counter()
         with instr.span(span_name):
-            if engine == "striped":
-                results[i] = score_packed_group_striped(
-                    cast(StripedProfile, group_profile), groups[i], gaps
-                )
-            elif engine == "strips":
-                results[i] = score_packed_group_strips(
-                    cast(QueryProfile, group_profile), groups[i], gaps
-                )
-            else:
-                results[i] = score_packed_group(
-                    cast(QueryProfile, group_profile), groups[i], gaps
-                )
+            results[i] = _score_group(
+                groups[i], gaps, profiles, profile.query_codes, profile.matrix
+            )
         if instr.enabled:
             instr.observe(
                 "engine.sweep.group_seconds", time.perf_counter() - started
@@ -434,7 +378,6 @@ def _run_pool(
     results: dict[int, np.ndarray],
     pending: list[int],
     sink: Callable[[int, np.ndarray], None] | None = None,
-    lane_engine: str = "gotoh",
     store: DatabaseStore | None = None,
 ) -> list[np.ndarray]:
     n = len(groups)
@@ -458,7 +401,7 @@ def _run_pool(
             initializer=_init_worker,
             initargs=(
                 profile.query_codes, profile.matrix, gaps, policy.inject,
-                lane_engine, instr.mode,
+                instr.mode,
                 str(store.path) if store is not None else None,
                 store.fingerprint if store is not None else None,
             ),
@@ -636,6 +579,5 @@ def _run_pool(
         _score_serial(
             profile, groups, gaps, instr, clock, results,
             span_name="serial_retry", indices=missing, sink=sink,
-            lane_engine=lane_engine,
         )
     return [results[i] for i in range(n)]

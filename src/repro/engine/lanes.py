@@ -51,11 +51,11 @@ def count_sweep_work(
 
     Useful vs. padded cells is the Figure 2 distinction: the sweep
     *computes* the whole ``(size, max_len)`` rectangle ``m`` times, but
-    only ``m * residues`` of those cells are real DP cells.  The counts
-    are deterministic functions of the geometry, so the executor charges
-    them parent-side for groups scored in worker processes (whose own
-    registries are per-process copies) — totals are identical on the
-    serial and fanned-out paths.
+    only ``m * residues`` of those cells are real DP cells.  Groups
+    scored in pool workers charge these counts worker-side, and each
+    accepted chunk ships its registry back as telemetry that the parent
+    merges once (see ``repro.engine.executor``), so totals are identical
+    on the serial and fanned-out paths.
     """
     s, L = group.codes.shape
     instr.count("engine.sweep.groups", 1)

@@ -81,10 +81,10 @@ class PackedGroup:
         so a padded query profile can route it to an impossibly bad
         similarity score and padded cells can never win an alignment.
     lane_engine:
-        Optional per-group engine assignment (one of
-        :data:`~repro.engine.striped.LANE_ENGINES`); ``None`` defers to
-        the executor's search-wide default.  This is what makes the
-        engine a per-group decision for heterogeneous dispatch.
+        The lane kernel that sweeps this group (a key of
+        :data:`~repro.engine.kernels.LANE_KERNELS`), stamped at pack
+        time.  This is what makes the kernel a per-group decision for
+        heterogeneous dispatch.
     strip_width:
         Strip width for groups assigned to the ``"strips"`` engine
         (``None`` = :data:`DEFAULT_STRIP_WIDTH`); ignored elsewhere.
@@ -94,7 +94,7 @@ class PackedGroup:
     lengths: np.ndarray
     codes: np.ndarray
     pad_code: int
-    lane_engine: str | None = None
+    lane_engine: str = "gotoh"
     strip_width: int | None = None
 
     def __post_init__(self) -> None:
@@ -161,7 +161,7 @@ def pack_group(
     db: Database,
     indices: np.ndarray,
     *,
-    lane_engine: str | None = None,
+    lane_engine: str = "gotoh",
     strip_width: int | None = None,
 ) -> PackedGroup:
     """Pack the database sequences at ``indices`` into one lane matrix.
@@ -169,8 +169,8 @@ def pack_group(
     ``indices`` refer to ``db``'s own ordering and are recorded verbatim
     in the result, so callers can pack a sorted permutation of an
     unsorted database and still scatter scores back trivially.
-    ``lane_engine``/``strip_width`` stamp a per-group engine assignment
-    for heterogeneous dispatch.
+    ``lane_engine``/``strip_width`` stamp the lane kernel that will
+    sweep the group.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1 or indices.size == 0:
@@ -329,6 +329,7 @@ def pack_database(
     *,
     budget: MemoryBudget | None = None,
     tail_floor: float = TAIL_EFFICIENCY_FLOOR,
+    lane_engine: str = "gotoh",
 ) -> list[PackedGroup]:
     """Sort ``db`` by length and pack it into groups of ``group_size``.
 
@@ -351,7 +352,9 @@ def pack_database(
     cost scales with padded cells — while column-sweep (striped)
     callers pass ``0.0``: a gap split there trades padding for extra
     near-empty column iterations, the overhead the split exists to
-    avoid.
+    avoid.  ``lane_engine`` stamps every group with the kernel that
+    will sweep it; the kernel's record in
+    :data:`~repro.engine.kernels.LANE_KERNELS` holds its floor.
     """
     db._require_residues()
     order = np.argsort(db.lengths, kind="stable")
@@ -359,7 +362,8 @@ def pack_database(
         db.lengths[order], group_size, budget=budget, tail_floor=tail_floor
     )
     groups = [
-        pack_group(db, order[start:end]) for start, end in plan.ranges
+        pack_group(db, order[start:end], lane_engine=lane_engine)
+        for start, end in plan.ranges
     ]
     instr = obs_current()
     if instr.enabled:
@@ -373,13 +377,12 @@ def pack_database_hetero(
     threshold: int,
     *,
     budget: MemoryBudget | None = None,
-    bulk_engine: str = "striped",
     strip_width: int | None = None,
 ) -> list[PackedGroup]:
     """Length-threshold heterogeneous packing (the paper's core split).
 
-    Sequences of length ``<= threshold`` pack into ``bulk_engine``
-    groups exactly as :func:`pack_database` would (inter-task side);
+    Sequences of length ``<= threshold`` pack into ``striped`` groups
+    exactly as :func:`pack_database` would (inter-task side);
     longer sequences pack into ``"strips"`` groups for the strip-sweep
     engine (intra-task side), where padding stays bounded per sequence
     instead of scaling with group raggedness.  Group ``indices`` refer
@@ -401,7 +404,7 @@ def pack_database_hetero(
     )
     for start, end in bulk_plan.ranges:
         groups.append(
-            pack_group(db, order[start:end], lane_engine=bulk_engine)
+            pack_group(db, order[start:end], lane_engine="striped")
         )
     tail_order = order[n_bulk:]
     # Strip groups don't pack a rectangle, so the rectangle-efficiency

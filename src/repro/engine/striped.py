@@ -64,17 +64,7 @@ from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.striped_profile import StripedProfile
 from repro.sw.utils import validate_penalties
 
-__all__ = [
-    "LANE_ENGINES",
-    "score_packed_group_striped",
-    "count_striped_work",
-]
-
-#: Per-lane score kernels the executor can run inside a group:
-#: ``"gotoh"`` is the row-parallel sweep of :mod:`repro.engine.lanes`,
-#: ``"striped"`` this module's Farrar engine, ``"strips"`` the
-#: long-tail strip sweep of :mod:`repro.engine.strips`.
-LANE_ENGINES = ("gotoh", "striped", "strips")
+__all__ = ["score_packed_group_striped"]
 
 
 @dataclass
@@ -294,11 +284,11 @@ def score_packed_group_striped(
         instr.observe(
             "engine.striped.lazy_f_rounds", float(stats.lazy_f_iterations)
         )
-        count_striped_work(instr, profile, group, scores)
+        _count_striped_work(instr, profile, group, scores)
     return scores
 
 
-def count_striped_work(
+def _count_striped_work(
     instr: AnyInstrumentation,
     profile: StripedProfile,
     group: PackedGroup,

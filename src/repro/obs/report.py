@@ -43,8 +43,10 @@ __all__ = [
 ]
 
 #: Version of the JSON document layout.  Bump on breaking changes.
-#: v2 added ``histograms``, ``worker_lanes`` and ``pid``.
-SCHEMA_VERSION = 2
+#: v2 added ``histograms``, ``worker_lanes`` and ``pid``; v3 replaced
+#: the engine section's ``lane_engine`` with ``lane_engines`` (the
+#: sorted, distinct lane kernels the search's groups were swept with).
+SCHEMA_VERSION = 3
 
 _PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -53,7 +55,7 @@ def _engine_report_dict(engine_report: EngineReport) -> dict[str, Any]:
     return {
         "group_size": engine_report.group_size,
         "workers": engine_report.workers,
-        "lane_engine": engine_report.lane_engine,
+        "lane_engines": sorted(set(engine_report.lane_engines)),
         "n_groups": engine_report.n_groups,
         "group_sizes": list(engine_report.group_sizes),
         "group_max_lengths": list(engine_report.group_max_lengths),

@@ -8,6 +8,7 @@ from repro.alphabet import BLOSUM62, GapPenalty
 from repro.engine import (
     BatchedEngine,
     MemoryBudget,
+    SearchConfig,
     estimate_group_bytes,
     pack_database,
 )
@@ -103,12 +104,13 @@ class TestPackWithBudget:
 
     def test_budgeted_scores_bit_identical(self, db):
         query = random_protein(35, np.random.default_rng(42), id="q")
-        reference, _ = BatchedEngine(BLOSUM62, GP, group_size=8).search(
+        reference, _ = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=8)).search(
             query, db
         )
         budget = MemoryBudget(estimate_group_bytes(2, 256))
         scores, report = BatchedEngine(
-            BLOSUM62, GP, group_size=8, memory_budget=budget
+            BLOSUM62, GP,
+            SearchConfig(group_size=8, memory_budget=budget),
         ).search(query, db)
         assert np.array_equal(scores, reference)
         assert report.n_groups > 3  # the split really happened
@@ -122,9 +124,10 @@ class TestPackWithBudget:
         path = tmp_path / "budget.wal"
         budget = MemoryBudget(estimate_group_bytes(2, 256))
         BatchedEngine(
-            BLOSUM62, GP, group_size=8, memory_budget=budget
+            BLOSUM62, GP,
+            SearchConfig(group_size=8, memory_budget=budget),
         ).search(query, db, checkpoint=path)
         with pytest.raises(CheckpointError, match="different search"):
-            BatchedEngine(BLOSUM62, GP, group_size=8).search(
+            BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=8)).search(
                 query, db, checkpoint=path, resume=True
             )

@@ -18,6 +18,7 @@ from repro.engine import (
     BatchedEngine,
     CheckpointError,
     CheckpointJournal,
+    SearchConfig,
     atomic_write_text,
     pack_database,
     search_fingerprint,
@@ -44,7 +45,7 @@ def query():
 
 @pytest.fixture(scope="module")
 def reference(db, query):
-    scores, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(query, db)
+    scores, _ = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=4)).search(query, db)
     return scores
 
 
@@ -52,7 +53,8 @@ def checkpointed_search(db, query, path, *, resume=False, gaps=GP,
                         group_size=4, workers=1):
     with obs.collect("counters") as instr:
         scores, _ = BatchedEngine(
-            BLOSUM62, gaps, group_size=group_size, workers=workers
+            BLOSUM62, gaps,
+            SearchConfig(group_size=group_size, workers=workers),
         ).search(query, db, checkpoint=path, resume=resume)
     return scores, instr.counters.as_dict()
 
@@ -216,7 +218,7 @@ class TestRefusal:
 
     def test_resume_requires_checkpoint_path(self, db, query):
         with pytest.raises(ValueError, match="checkpoint"):
-            BatchedEngine(BLOSUM62, GP, group_size=4).search(
+            BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=4)).search(
                 query, db, resume=True
             )
 

@@ -17,6 +17,7 @@ import json
 import os
 import struct
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,14 @@ import pytest
 from repro import obs
 from repro.alphabet import BLOSUM62, GapPenalty
 from repro.engine import (
+    LANE_KERNELS,
     BatchedEngine,
     CheckpointError,
     DatabaseFormatError,
     DatabaseStore,
+    FaultPolicy,
     MemoryBudget,
+    SearchConfig,
     StoreGroupRef,
     build_store,
     build_store_from_fasta,
@@ -44,6 +48,7 @@ from repro.engine.dbstore import (
 from repro.engine.executor import _init_worker, _score_chunk_task
 from repro.sequence import Database, Sequence, write_fasta
 from repro.sequence.fasta import iter_fasta_file, read_fasta_file
+from repro.sw import sw_score_scalar
 
 GP = GapPenalty.cudasw_default()
 GROUP = 4
@@ -86,10 +91,13 @@ def store(store_path):
 
 @pytest.fixture(scope="module")
 def reference(db, query):
-    scores, _ = BatchedEngine(BLOSUM62, GP, group_size=GROUP).search(
-        query, db
+    return np.array(
+        [
+            sw_score_scalar(query.codes, db.codes_of(i), BLOSUM62, GP)
+            for i in range(len(db))
+        ],
+        dtype=np.int64,
     )
-    return scores
 
 
 # ----------------------------------------------------------------------
@@ -119,19 +127,38 @@ def test_build_refuses_bad_inputs(db, tmp_path):
         build_store(lengths_only, tmp_path / "x.rdb")
 
 
-@pytest.mark.parametrize("lane", ["gotoh", "striped", "strips", "hetero"])
+#: One search config per lane kernel that sweeps every group with that
+#: kernel (``strips`` alone is hetero past a zero split), plus the mix.
+LANE_CONFIGS = {
+    "gotoh": SearchConfig(group_size=GROUP),
+    "striped": SearchConfig(engine="striped", group_size=GROUP),
+    "strips": SearchConfig(
+        engine="hetero", group_size=GROUP, split_threshold=0
+    ),
+    "hetero": SearchConfig(
+        engine="hetero", group_size=GROUP, split_threshold=100
+    ),
+}
+
+
+@pytest.mark.parametrize("lane", list(LANE_CONFIGS))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_store_scores_bit_identical(
     db, query, store, reference, lane, workers
 ):
+    """Every lane kernel, serial and on a pool forced by an explicit
+    fault policy, from FASTA and from the store, is bit-identical to
+    ``sw_score_scalar`` and sweeps with the expected kernels."""
+    assert set(LANE_KERNELS) < set(LANE_CONFIGS)
     engine = BatchedEngine(
-        BLOSUM62, GP, group_size=GROUP, lane_engine=lane,
-        workers=workers, fanout_min_cells=0,
+        BLOSUM62, GP,
+        replace(LANE_CONFIGS[lane], workers=workers, fault_policy=FaultPolicy()),
     )
-    base, _ = engine.search(query, db)
-    from_store, _ = engine.search(query, store)
-    assert np.array_equal(base, reference)
-    assert np.array_equal(from_store, reference)
+    expected = {"striped", "strips"} if lane == "hetero" else {lane}
+    for target in (db, store):
+        scores, report = engine.search(query, target)
+        assert np.array_equal(scores, reference)
+        assert set(report.lane_engines) == expected
 
 
 def test_worker_materializes_group_refs(db, query, store):
@@ -140,7 +167,7 @@ def test_worker_materializes_group_refs(db, query, store):
     from repro.engine.pack import pack_database
 
     groups = pack_database(db, GROUP)
-    _init_worker(query.codes, BLOSUM62, GP, None, "gotoh", "off",
+    _init_worker(query.codes, BLOSUM62, GP, None, "off",
                  str(store.path), store.fingerprint)
     by_value, _ = _score_chunk_task([(i, g) for i, g in enumerate(groups)])
     by_ref, _ = _score_chunk_task(
@@ -151,8 +178,20 @@ def test_worker_materializes_group_refs(db, query, store):
 
 def test_worker_refuses_fingerprint_skew(query, store):
     with pytest.raises(RuntimeError, match="changed while the search"):
-        _init_worker(query.codes, BLOSUM62, GP, None, "gotoh", "off",
+        _init_worker(query.codes, BLOSUM62, GP, None, "off",
                      str(store.path), "0" * 64)
+
+
+def test_worker_refuses_a_path_that_is_not_a_store(
+    db, query, store, monkeypatch
+):
+    """A typed error, not an assert: ``python -O`` keeps the guard."""
+    import repro.engine.executor as executor
+
+    monkeypatch.setattr(executor, "open_database", lambda *a, **k: db)
+    with pytest.raises(RuntimeError, match="did not open as a database"):
+        _init_worker(query.codes, BLOSUM62, GP, None, "off",
+                     str(store.path), store.fingerprint)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +325,7 @@ def test_bit_flip_fuzzer(db, query, store_path, reference, tmp_path):
         list(range(0, comment_hi + _LEN.size + 8))
         + [int(p) for p in np.linspace(0, len(data) - 1, num=96)]
     ))
-    engine = BatchedEngine(BLOSUM62, GP, group_size=GROUP)
+    engine = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=GROUP))
     target = tmp_path / "fuzz.rdb"
     harmless = refused = 0
     for pos in positions:
@@ -378,7 +417,7 @@ def test_checkpoint_refuses_rebuilt_store(db, query, store, tmp_path):
     against a rebuilt store with different content — even when every
     length (and therefore the whole geometry) is unchanged."""
     journal = tmp_path / "scan.wal"
-    engine = BatchedEngine(BLOSUM62, GP, group_size=GROUP)
+    engine = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=GROUP))
     engine.search(query, store, checkpoint=journal)
 
     rng = np.random.default_rng(63)
@@ -400,7 +439,7 @@ def test_store_vs_fasta_checkpoints_disagree(db, query, store, tmp_path):
     """Conservative by design: a journal from a plain-FASTA search does
     not resume against the same content opened as a store."""
     journal = tmp_path / "fasta.wal"
-    engine = BatchedEngine(BLOSUM62, GP, group_size=GROUP)
+    engine = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=GROUP))
     engine.search(query, db, checkpoint=journal)
     with pytest.raises(CheckpointError):
         engine.search(query, store, checkpoint=journal, resume=True)
@@ -411,11 +450,11 @@ def test_store_vs_fasta_checkpoints_disagree(db, query, store, tmp_path):
 # ----------------------------------------------------------------------
 def test_geometry_reuse_counters(db, query, store):
     with obs.collect("counters") as instr:
-        BatchedEngine(BLOSUM62, GP, group_size=GROUP).search(query, store)
+        BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=GROUP)).search(query, store)
     assert instr.counters.as_dict()["engine.dbstore.geometry_reused"] == 1
 
     with obs.collect("counters") as instr:
-        BatchedEngine(BLOSUM62, GP, group_size=GROUP + 1).search(
+        BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=GROUP + 1)).search(
             query, store
         )
     assert (
@@ -424,7 +463,8 @@ def test_geometry_reuse_counters(db, query, store):
 
     with obs.collect("counters") as instr:
         BatchedEngine(
-            BLOSUM62, GP, group_size=GROUP, lane_engine="hetero"
+            BLOSUM62, GP,
+            SearchConfig(group_size=GROUP, engine="hetero"),
         ).search(query, store)
     assert (
         instr.counters.as_dict()["engine.dbstore.geometry_replanned"] == 1
@@ -436,7 +476,8 @@ def test_stored_plan_with_budget_matches_packing(db, query, store):
     planning with the budget from scratch — groups and scores."""
     budget = MemoryBudget(max_group_bytes=200_000)
     plain = BatchedEngine(
-        BLOSUM62, GP, group_size=GROUP, memory_budget=budget
+        BLOSUM62, GP,
+        SearchConfig(group_size=GROUP, memory_budget=budget),
     )
     base, base_report = plain.search(query, db)
     from_store, store_report = plain.search(query, store)

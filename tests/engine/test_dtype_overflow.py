@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.alphabet import BLOSUM62, GapPenalty
-from repro.engine import BatchedEngine
+from repro.engine import BatchedEngine, SearchConfig
 from repro.engine.lanes import _working_dtype
 from repro.sequence import Database, Sequence
 from repro.sw.antidiagonal import sw_score_antidiagonal
@@ -75,7 +75,7 @@ class TestOverflowEquivalence:
         db = Database.from_sequences(
             [Sequence.from_text("d", poly_w), short]
         )
-        engine = BatchedEngine(BLOSUM62, GP, group_size=2)
+        engine = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=2))
         scores, _ = engine.search(query, db)
         assert int(scores[0]) == len(poly_w) * W_SELF
         assert int(scores[1]) == sw_score_antidiagonal(

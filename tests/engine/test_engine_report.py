@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.alphabet import BLOSUM62, GapPenalty
-from repro.engine import BatchedEngine, EngineReport
+from repro.engine import BatchedEngine, EngineReport, SearchConfig
 from repro.sequence import Database, Sequence, random_protein
 
 
@@ -18,6 +18,7 @@ class TestPaddingEfficiency:
             group_efficiencies=(),
             residues=0,
             padded_cells=0,
+            lane_engines=(),
         )
         assert report.n_groups == 0
         assert report.padding_efficiency == 1.0  # no ZeroDivisionError
@@ -45,7 +46,8 @@ class TestPaddingEfficiency:
         )
         query = random_protein(20, rng, id="q")
         engine = BatchedEngine(
-            BLOSUM62, GapPenalty.cudasw_default(), group_size=2
+            BLOSUM62, GapPenalty.cudasw_default(),
+            SearchConfig(group_size=2),
         )
         _, report = engine.search(query, db)
         assert report.residues == 60

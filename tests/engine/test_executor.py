@@ -5,7 +5,7 @@ import pytest
 
 from repro import obs
 from repro.alphabet import BLOSUM62, GapPenalty
-from repro.engine import BatchedEngine, FaultPolicy, pack_database, run_groups
+from repro.engine import BatchedEngine, FaultPolicy, pack_database, run_groups, SearchConfig
 from repro.engine.faults import auto_chunksize
 from repro.sequence import Database, QueryProfile, Sequence, random_protein
 
@@ -101,22 +101,28 @@ class TestBatchedEngineWorkers:
     def test_engine_results_identical_across_worker_counts(self, db):
         rng = np.random.default_rng(3)
         q = random_protein(33, rng, id="q")
-        s1, r1 = BatchedEngine(BLOSUM62, GP, group_size=6, workers=1).search(q, db)
-        s2, r2 = BatchedEngine(BLOSUM62, GP, group_size=6, workers=3).search(q, db)
+        s1, r1 = BatchedEngine(
+            BLOSUM62, GP,
+            SearchConfig(group_size=6, workers=1),
+        ).search(q, db)
+        s2, r2 = BatchedEngine(
+            BLOSUM62, GP,
+            SearchConfig(group_size=6, workers=3),
+        ).search(q, db)
         assert np.array_equal(s1, s2)
         assert r1.group_efficiencies == r2.group_efficiencies
         assert r1.workers == 1 and r2.workers == 3
 
     def test_engine_validation(self):
         with pytest.raises(ValueError):
-            BatchedEngine(BLOSUM62, GP, group_size=0)
+            BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=0))
         with pytest.raises(ValueError):
-            BatchedEngine(BLOSUM62, GP, workers=0)
+            BatchedEngine(BLOSUM62, GP, SearchConfig(workers=0))
 
     def test_report_aggregates(self, db):
         rng = np.random.default_rng(4)
         q = random_protein(20, rng, id="q")
-        _, report = BatchedEngine(BLOSUM62, GP, group_size=7).search(q, db)
+        _, report = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=7)).search(q, db)
         assert report.n_groups == len(report.group_sizes)
         assert sum(report.group_sizes) == len(db)
         assert report.residues == db.total_residues

@@ -21,6 +21,7 @@ from repro.engine import (
     BatchedEngine,
     FaultPolicy,
     InjectionPlan,
+    SearchConfig,
     SearchDeadlineExceeded,
     pack_database,
     run_groups,
@@ -53,7 +54,10 @@ def query():
 
 @pytest.fixture(scope="module")
 def reference(db, query):
-    scores, _ = BatchedEngine(BLOSUM62, GP, group_size=4, workers=1).search(
+    scores, _ = BatchedEngine(
+        BLOSUM62, GP,
+        SearchConfig(group_size=4, workers=1),
+    ).search(
         query, db
     )
     return scores
@@ -62,7 +66,8 @@ def reference(db, query):
 def degraded_search(db, query, policy, workers=2):
     with obs.collect("counters") as instr:
         scores, _ = BatchedEngine(
-            BLOSUM62, GP, group_size=4, workers=workers, fault_policy=policy
+            BLOSUM62, GP,
+            SearchConfig(group_size=4, workers=workers, fault_policy=policy),
         ).search(query, db)
     return scores, instr.counters.as_dict()
 
@@ -188,7 +193,8 @@ class TestDeadline:
             ),
         )
         engine = BatchedEngine(
-            BLOSUM62, GP, group_size=4, workers=2, fault_policy=policy
+            BLOSUM62, GP,
+            SearchConfig(group_size=4, workers=2, fault_policy=policy),
         )
         t0 = time.monotonic()
         with pytest.raises(SearchDeadlineExceeded) as excinfo:
@@ -226,8 +232,8 @@ class TestDeadline:
         with obs.collect("counters") as instr:
             with pytest.raises(SearchDeadlineExceeded):
                 BatchedEngine(
-                    BLOSUM62, GP, group_size=4, workers=1,
-                    fault_policy=policy,
+                    BLOSUM62, GP,
+                    SearchConfig(group_size=4, workers=1, fault_policy=policy),
                 ).search(query, db)
         c = instr.counters.as_dict()
         assert c["engine.executor.deadline_exceeded"] == 1
@@ -293,6 +299,7 @@ class TestCudaSWIntegration:
         """No policy given: the engine behaves exactly as before —
         parallel scores match serial, nothing raises."""
         scores, _ = BatchedEngine(
-            BLOSUM62, GP, group_size=4, workers=2
+            BLOSUM62, GP,
+            SearchConfig(group_size=4, workers=2),
         ).search(query, db)
         assert np.array_equal(scores, reference)

@@ -1,6 +1,6 @@
-"""Heterogeneous length-threshold dispatch: the ISSUE 8 contract.
+"""Heterogeneous length-threshold dispatch.
 
-``lane_engine="hetero"`` splits the packed database at a length
+``SearchConfig(engine="hetero")`` splits the packed database at a length
 threshold — bulk groups go to the striped Farrar engine, the long tail
 to the strip-sweep engine — and must stay *bit-identical* to the scalar
 reference at every threshold, under a worker pool, and across a real
@@ -21,7 +21,18 @@ import pytest
 
 from repro import obs
 from repro.alphabet import BLOSUM62, GapPenalty
-from repro.engine import BatchedEngine, CheckpointError
+from repro.app.threshold import tune_split_threshold
+from repro.engine import (
+    LANE_KERNELS,
+    BatchedEngine,
+    CheckpointError,
+    CheckpointJournal,
+    SearchConfig,
+    pack_database_hetero,
+    run_groups,
+    search_fingerprint,
+)
+from repro.sequence.profile import QueryProfile
 from repro.sequence import Database, Sequence, random_protein, write_fasta
 from repro.sw import sw_score_scalar
 
@@ -67,8 +78,8 @@ class TestHeteroEquivalence:
         db = corpus["db"]
         for t in self.thresholds(db):
             engine = BatchedEngine(
-                BLOSUM62, GP, group_size=8,
-                lane_engine="hetero", split_threshold=t,
+                BLOSUM62, GP,
+                SearchConfig(group_size=8, engine="hetero", split_threshold=t),
             )
             scores, report = engine.search(corpus["query"], db)
             assert np.array_equal(scores, corpus["reference"]), t
@@ -76,8 +87,8 @@ class TestHeteroEquivalence:
 
     def test_auto_threshold_bit_identical_and_mixed(self, corpus):
         engine = BatchedEngine(
-            BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold="auto",
+            BLOSUM62, GP,
+            SearchConfig(group_size=8, engine="hetero", split_threshold="auto"),
         )
         scores, report = engine.search(corpus["query"], corpus["db"])
         assert np.array_equal(scores, corpus["reference"])
@@ -88,13 +99,16 @@ class TestHeteroEquivalence:
         assert report.split_threshold < int(lengths.max())
 
     def test_strip_width_variants_bit_identical(self, corpus):
+        db = corpus["db"]
+        profile = QueryProfile(corpus["query"].codes, BLOSUM62)
         for width in (64, 257, 4096):
-            engine = BatchedEngine(
-                BLOSUM62, GP, group_size=8,
-                lane_engine="hetero", split_threshold=300,
-                strip_width=width,
-            )
-            scores, _ = engine.search(corpus["query"], corpus["db"])
+            groups = pack_database_hetero(db, 8, 300, strip_width=width)
+            assert {
+                g.strip_width for g in groups if g.lane_engine == "strips"
+            } == {width}
+            scores = np.empty(len(db), dtype=np.int64)
+            for g, lane_scores in zip(groups, run_groups(profile, groups, GP)):
+                scores[g.indices] = lane_scores
             assert np.array_equal(scores, corpus["reference"]), width
 
 
@@ -108,9 +122,8 @@ class TestHeteroWorkerParity:
 
     def _run(self, corpus, workers):
         engine = BatchedEngine(
-            BLOSUM62, GP, group_size=4,
-            lane_engine="hetero", split_threshold=300,
-            workers=workers,
+            BLOSUM62, GP,
+            SearchConfig(group_size=4, engine="hetero", split_threshold=300, workers=workers),
         )
         with obs.collect("counters") as instr:
             scores, _ = engine.search(corpus["query"], corpus["db"])
@@ -137,13 +150,13 @@ class TestHeteroCheckpointIdentity:
         journal written at one split must refuse to resume at another."""
         journal = tmp_path / "hetero.wal"
         engine_a = BatchedEngine(
-            BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold=300,
+            BLOSUM62, GP,
+            SearchConfig(group_size=8, engine="hetero", split_threshold=300),
         )
         engine_a.search(corpus["query"], corpus["db"], checkpoint=journal)
         engine_b = BatchedEngine(
-            BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold=1,
+            BLOSUM62, GP,
+            SearchConfig(group_size=8, engine="hetero", split_threshold=1),
         )
         with pytest.raises(CheckpointError, match="different search"):
             engine_b.search(
@@ -154,25 +167,33 @@ class TestHeteroCheckpointIdentity:
     def test_journal_refused_under_different_strip_width(
         self, corpus, tmp_path
     ):
-        journal = tmp_path / "width.wal"
-        BatchedEngine(
-            BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold=300, strip_width=512,
-        ).search(corpus["query"], corpus["db"], checkpoint=journal)
-        with pytest.raises(CheckpointError, match="different search"):
-            BatchedEngine(
-                BLOSUM62, GP, group_size=8,
-                lane_engine="hetero", split_threshold=300, strip_width=64,
-            ).search(
-                corpus["query"], corpus["db"],
-                checkpoint=journal, resume=True,
+        """Strip groups fingerprint their width: a journal written at
+        one width refuses to resume at another."""
+        db = corpus["db"]
+
+        def plan(width):
+            groups = pack_database_hetero(db, 8, 300, strip_width=width)
+            fingerprint = search_fingerprint(
+                corpus["query"].codes, BLOSUM62, GP, 8, db,
+                engines=tuple(
+                    LANE_KERNELS[g.lane_engine].token(g) for g in groups
+                ),
             )
+            return groups, fingerprint
+
+        journal = tmp_path / "width.wal"
+        groups, fingerprint = plan(512)
+        CheckpointJournal.create(journal, fingerprint, len(groups)).close()
+        narrow, narrow_fingerprint = plan(64)
+        with pytest.raises(CheckpointError, match="different search"):
+            CheckpointJournal.resume(journal, narrow_fingerprint, narrow)
 
     def test_same_threshold_resumes_cleanly(self, corpus, tmp_path):
         journal = tmp_path / "same.wal"
-        make = lambda: BatchedEngine(  # noqa: E731
-            BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold=300,
+        make = lambda: BatchedEngine(
+            # noqa: E731
+            BLOSUM62, GP,
+            SearchConfig(group_size=8, engine="hetero", split_threshold=300),
         )
         make().search(corpus["query"], corpus["db"], checkpoint=journal)
         with obs.collect("counters") as instr:
@@ -191,11 +212,9 @@ class TestHeteroCheckpointIdentity:
 #: between fsync'd journal appends with bulk *and* strip groups in play.
 CHILD_SCRIPT = textwrap.dedent(
     """
-    import sys, time
-    import numpy as np
-    import repro.engine.executor as executor
+    import dataclasses, sys, time
     from repro.alphabet import BLOSUM62, GapPenalty
-    from repro.engine import BatchedEngine
+    from repro.engine import LANE_KERNELS, BatchedEngine, SearchConfig
     from repro.sequence import Database, read_fasta_file
 
     db_path, query_path, journal = sys.argv[1:4]
@@ -206,15 +225,16 @@ CHILD_SCRIPT = textwrap.dedent(
             return real(profile, group, gaps, **kwargs)
         return slow
 
-    executor.score_packed_group_striped = slowed(
-        executor.score_packed_group_striped)
-    executor.score_packed_group_strips = slowed(
-        executor.score_packed_group_strips)
+    for name in ("striped", "strips"):
+        kernel = LANE_KERNELS[name]
+        LANE_KERNELS[name] = dataclasses.replace(
+            kernel, score=slowed(kernel.score)
+        )
     db = Database.from_sequences(read_fasta_file(db_path))
     query = read_fasta_file(query_path)[0]
     BatchedEngine(
-        BLOSUM62, GapPenalty.cudasw_default(), group_size=4,
-        lane_engine="hetero", split_threshold=300,
+        BLOSUM62, GapPenalty.cudasw_default(),
+        SearchConfig(group_size=4, engine="hetero", split_threshold=300),
     ).search(query, db, checkpoint=journal)
     """
 )
@@ -250,9 +270,10 @@ class TestHeteroSigkillResume:
             child.wait(timeout=30)
         assert child.returncode == -signal.SIGKILL
 
-        make = lambda: BatchedEngine(  # noqa: E731
-            BLOSUM62, GP, group_size=4,
-            lane_engine="hetero", split_threshold=300,
+        make = lambda: BatchedEngine(
+            # noqa: E731
+            BLOSUM62, GP,
+            SearchConfig(group_size=4, engine="hetero", split_threshold=300),
         )
         with obs.collect("counters") as instr:
             scores, report = make().search(
@@ -270,70 +291,58 @@ class TestHeteroSigkillResume:
 
 
 class TestCostModelKnobs:
-    """The 'auto' split cost constants are parameters, not baked in."""
+    """The 'auto' split cost constants are tuner parameters, not baked in."""
+
+    def resolved(self, corpus, **knobs):
+        return tune_split_threshold(
+            corpus["db"].lengths, group_size=4, **knobs
+        )
 
     def test_strip_cell_cost_moves_the_threshold(self, corpus):
-        def resolved(**knobs):
-            engine = BatchedEngine(
-                BLOSUM62, GP, group_size=4,
-                lane_engine="hetero", split_threshold="auto", **knobs,
-            )
-            return engine._resolve_threshold(corpus["db"])
-
-        default = resolved()
+        default = self.resolved(corpus)
         # Strips priced near-free: everything should route to the strip
         # engine (threshold collapses); priced exorbitantly: the split
         # point must move the other way from the cheap setting.
-        cheap = resolved(strip_cell_cost=0.01)
-        costly = resolved(strip_cell_cost=50.0)
+        cheap = self.resolved(corpus, strip_cell_cost=0.01)
+        costly = self.resolved(corpus, strip_cell_cost=50.0)
         assert cheap != costly
         assert default != cheap or default != costly
 
     def test_column_overhead_moves_the_threshold(self, corpus):
-        def resolved(**knobs):
-            engine = BatchedEngine(
-                BLOSUM62, GP, group_size=4,
-                lane_engine="hetero", split_threshold="auto", **knobs,
-            )
-            return engine._resolve_threshold(corpus["db"])
-
         # A huge fixed per-column striped overhead makes striped bulk
         # groups unattractive relative to strips.
-        assert resolved(striped_column_overhead=1e6) != resolved()
+        assert (
+            self.resolved(corpus, column_overhead=1e6)
+            != self.resolved(corpus)
+        )
 
     def test_scores_bit_identical_across_cost_settings(self, corpus):
         for knobs in ({}, {"strip_cell_cost": 0.01},
-                      {"striped_column_overhead": 1e6}):
+                      {"column_overhead": 1e6}):
             engine = BatchedEngine(
-                BLOSUM62, GP, group_size=4,
-                lane_engine="hetero", split_threshold="auto", **knobs,
+                BLOSUM62, GP,
+                SearchConfig(
+                    engine="hetero", group_size=4,
+                    split_threshold=self.resolved(corpus, **knobs),
+                ),
             )
             scores, _ = engine.search(corpus["query"], corpus["db"])
             assert np.array_equal(scores, corpus["reference"])
-
-    def test_invalid_costs_rejected(self):
-        with pytest.raises(ValueError, match="strip_cell_cost"):
-            BatchedEngine(
-                BLOSUM62, GP, lane_engine="hetero", strip_cell_cost=0.0,
-            )
-        with pytest.raises(ValueError, match="striped_column_overhead"):
-            BatchedEngine(
-                BLOSUM62, GP, lane_engine="hetero",
-                striped_column_overhead=-1.0,
-            )
 
     def test_search_api_threads_the_knobs(self, corpus):
         from repro.app import CudaSW
         from repro.cuda import TESLA_C2050
 
         app = CudaSW(TESLA_C2050)
-        result, report = app.search(
+        result, _ = app.search(
             corpus["query"], corpus["db"], engine="hetero",
-            strip_cell_cost=0.01,
+            split_threshold=0,
         )
         assert np.array_equal(result.scores, corpus["reference"])
-        with pytest.raises(ValueError, match="strip_cell_cost"):
+        assert app.last_engine_report.split_threshold == 0
+        assert set(app.last_engine_report.lane_engines) == {"strips"}
+        with pytest.raises(ValueError, match="split_threshold"):
             app.search(
                 corpus["query"], corpus["db"], engine="batched",
-                strip_cell_cost=2.0,
+                split_threshold=0,
             )

@@ -17,14 +17,14 @@ from repro.alphabet import BLOSUM62, GapPenalty, build_blosum
 from repro.app import CudaSW
 from repro.engine import (
     BatchedEngine,
-    DEFAULT_FANOUT_MIN_CELLS,
     FaultPolicy,
+    SearchConfig,
+    build_store,
+    open_database,
     score_packed_group_striped,
 )
-from repro.engine.executor import run_groups
 from repro.engine.pack import pack_database, pack_group
 from repro.sequence import Database, Sequence, StripedProfile, random_protein
-from repro.sequence.profile import QueryProfile
 from repro.sw import sw_score_scalar
 
 GAP_CONFIGS = (
@@ -125,7 +125,8 @@ class TestStripedEquivalence:
     def test_matches_scalar_on_ragged_db(self, ragged_db, gaps):
         rng = np.random.default_rng(gaps.rho % 97)
         engine = BatchedEngine(
-            BLOSUM62, gaps, group_size=5, lane_engine="striped"
+            BLOSUM62, gaps,
+            SearchConfig(group_size=5, engine="striped"),
         )
         for m in (1, 23, 130):
             query = random_protein(m, rng, id="q")
@@ -133,7 +134,7 @@ class TestStripedEquivalence:
             assert np.array_equal(
                 scores, _reference(query, ragged_db, BLOSUM62, gaps)
             )
-            assert report.lane_engine == "striped"
+            assert set(report.lane_engines) == {"striped"}
 
     def test_matches_scalar_on_derived_matrix(self, ragged_db):
         # A Henikoff-built matrix with a different score range than
@@ -158,7 +159,8 @@ class TestStripedEquivalence:
         matrix = build_blosum(blocks, threshold=0.45, name="b45-style")
         gaps = GapPenalty.cudasw_default()
         engine = BatchedEngine(
-            matrix, gaps, group_size=4, lane_engine="striped"
+            matrix, gaps,
+            SearchConfig(group_size=4, engine="striped"),
         )
         query = random_protein(37, rng, id="q")
         scores, _ = engine.search(query, ragged_db)
@@ -281,7 +283,8 @@ class TestSaturationBoundaries:
         query = random_protein(300, rng, id="q")
         db = _self_db(query, [50, 253, 260, 300, 2])
         engine = BatchedEngine(
-            matrix, gaps, group_size=3, lane_engine="striped"
+            matrix, gaps,
+            SearchConfig(group_size=3, engine="striped"),
         )
         scores, _ = engine.search(query, db)
         assert np.array_equal(scores, _reference(query, db, matrix, gaps))
@@ -295,12 +298,8 @@ class TestExecutorParity:
 
         def counters(workers):
             engine = BatchedEngine(
-                BLOSUM62,
-                gaps,
-                group_size=4,
-                workers=workers,
-                lane_engine="striped",
-                fanout_min_cells=0,  # force the pool despite the size
+                BLOSUM62, gaps, # force the pool despite the size,
+                SearchConfig(group_size=4, workers=workers, engine="striped", fault_policy=FaultPolicy()),
             )
             with obs.collect("counters") as instr:
                 scores, _ = engine.search(query, ragged_db)
@@ -326,33 +325,15 @@ class TestExecutorParity:
         assert serial == fanned
         assert serial["engine.striped.groups"] == 4
 
-    def test_invalid_lane_engine_rejected(self, ragged_db):
-        with pytest.raises(ValueError, match="lane_engine"):
-            BatchedEngine(
-                BLOSUM62, GapPenalty.cudasw_default(), lane_engine="simd"
-            )
-        rng = np.random.default_rng(51)
-        query = random_protein(10, rng, id="q")
-        profile = QueryProfile(query.codes, BLOSUM62)
-        groups = pack_database(ragged_db, 4)
-        with pytest.raises(ValueError, match="lane_engine"):
-            run_groups(
-                profile,
-                groups,
-                GapPenalty.cudasw_default(),
-                workers=1,
-                lane_engine="simd",
-            )
-
 
 class TestFanoutDemotion:
     def test_small_search_demotes_to_serial(self, ragged_db):
         rng = np.random.default_rng(60)
         query = random_protein(30, rng, id="q")
         engine = BatchedEngine(
-            BLOSUM62, GapPenalty.cudasw_default(), group_size=4, workers=2
+            BLOSUM62, GapPenalty.cudasw_default(),
+            SearchConfig(group_size=4, workers=2),
         )
-        assert engine.fanout_min_cells == DEFAULT_FANOUT_MIN_CELLS
         with obs.collect("counters") as instr:
             _, report = engine.search(query, ragged_db)
         c = instr.counters.as_dict()
@@ -361,20 +342,29 @@ class TestFanoutDemotion:
         # The report records the *requested* configuration.
         assert report.workers == 2
 
-    def test_zero_threshold_disables_demotion(self, ragged_db):
+    def test_zero_threshold_disables_demotion(
+        self, ragged_db, tmp_path, monkeypatch
+    ):
+        """The fan-out floor comes from the input: a store-backed search
+        reads DEFAULT_DB_FANOUT_MIN_CELLS, a FASTA search
+        DEFAULT_FANOUT_MIN_CELLS, and a zero floor never demotes."""
+        import repro.engine
+
+        monkeypatch.setattr(repro.engine, "DEFAULT_DB_FANOUT_MIN_CELLS", 0)
+        store = open_database(
+            build_store(ragged_db, tmp_path / "ragged.rdb", group_size=4).path
+        )
         rng = np.random.default_rng(61)
         query = random_protein(30, rng, id="q")
         engine = BatchedEngine(
-            BLOSUM62,
-            GapPenalty.cudasw_default(),
-            group_size=4,
-            workers=2,
-            fanout_min_cells=0,
+            BLOSUM62, GapPenalty.cudasw_default(),
+            SearchConfig(group_size=4, workers=2),
         )
-        with obs.collect("counters") as instr:
-            engine.search(query, ragged_db)
-        c = instr.counters.as_dict()
-        assert "engine.executor.fanout_demotions" not in c
+        for target, demoted in ((ragged_db, True), (store, False)):
+            with obs.collect("counters") as instr:
+                engine.search(query, target)
+            c = instr.counters.as_dict()
+            assert ("engine.executor.fanout_demotions" in c) == demoted
         assert c["engine.executor.worker_round_trips"] >= 1
 
     def test_explicit_fault_policy_is_never_demoted(self, ragged_db):
@@ -383,23 +373,14 @@ class TestFanoutDemotion:
         rng = np.random.default_rng(62)
         query = random_protein(30, rng, id="q")
         engine = BatchedEngine(
-            BLOSUM62,
-            GapPenalty.cudasw_default(),
-            group_size=4,
-            workers=2,
-            fault_policy=FaultPolicy(),
+            BLOSUM62, GapPenalty.cudasw_default(),
+            SearchConfig(group_size=4, workers=2, fault_policy=FaultPolicy()),
         )
         with obs.collect("counters") as instr:
             engine.search(query, ragged_db)
         c = instr.counters.as_dict()
         assert "engine.executor.fanout_demotions" not in c
         assert c["engine.executor.worker_round_trips"] >= 1
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match="fanout_min_cells"):
-            BatchedEngine(
-                BLOSUM62, GapPenalty.cudasw_default(), fanout_min_cells=-1
-            )
 
 
 class TestAppIntegration:
@@ -414,7 +395,7 @@ class TestAppIntegration:
         assert np.array_equal(got.scores, base.scores)
         run = app.last_run_report
         assert run.meta["engine"] == "striped"
-        assert run.engine["lane_engine"] == "striped"
+        assert run.engine["lane_engines"] == ["striped"]
         assert run.counters["engine.striped.groups"] >= 1
 
     def test_striped_checkpoint_resume(self, ragged_db, tmp_path):

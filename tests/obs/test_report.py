@@ -36,7 +36,7 @@ class TestRunReport:
         )
         doc = report.to_dict()
         assert doc["schema"] == "repro.run_report"
-        assert doc["schema_version"] == SCHEMA_VERSION == 2
+        assert doc["schema_version"] == SCHEMA_VERSION == 3
         assert doc["collect"] == "full"
         assert doc["counters"]["engine.pack.residues"] == 100
         assert doc["meta"]["query_id"] == "Q1"
@@ -94,6 +94,7 @@ class TestRunReport:
             group_efficiencies=(0.75,),
             residues=15,
             padded_cells=20,
+            lane_engines=("gotoh",),
         )
         report = RunReport.from_instrumentation(
             _session(), engine_report=er

@@ -22,7 +22,7 @@ import pytest
 
 from repro import obs
 from repro.alphabet import BLOSUM62, GapPenalty
-from repro.engine import BatchedEngine, FaultPolicy, pack_database
+from repro.engine import BatchedEngine, FaultPolicy, pack_database, SearchConfig
 from repro.sequence import Database, Sequence, random_protein, write_fasta
 
 GP = GapPenalty.cudasw_default()
@@ -59,24 +59,24 @@ def corpus(tmp_path_factory):
 #: slowed, so the parent can kill it between fsync'd appends.
 CHILD_SCRIPT = textwrap.dedent(
     """
-    import sys, time
-    import repro.engine.executor as executor
+    import dataclasses, sys, time
     from repro.alphabet import BLOSUM62, GapPenalty
-    from repro.engine import BatchedEngine
+    from repro.engine import LANE_KERNELS, BatchedEngine, SearchConfig
     from repro.sequence import Database, read_fasta_file
 
     db_path, query_path, journal = sys.argv[1:4]
-    real = executor.score_packed_group
+    gotoh = LANE_KERNELS["gotoh"]
 
     def slow(profile, group, gaps):
         time.sleep({sleep})
-        return real(profile, group, gaps)
+        return gotoh.score(profile, group, gaps)
 
-    executor.score_packed_group = slow
+    LANE_KERNELS["gotoh"] = dataclasses.replace(gotoh, score=slow)
     db = Database.from_sequences(read_fasta_file(db_path))
     query = read_fasta_file(query_path)[0]
     BatchedEngine(
-        BLOSUM62, GapPenalty.cudasw_default(), group_size=4
+        BLOSUM62, GapPenalty.cudasw_default(),
+        SearchConfig(group_size=4),
     ).search(query, db, checkpoint=journal)
     """
 ).format(sleep=CHILD_GROUP_SLEEP)
@@ -114,12 +114,12 @@ class TestSigkillResume:
         assert child.returncode == -signal.SIGKILL  # really died by kill
         size_after_kill = journal.stat().st_size
 
-        reference, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+        reference, _ = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=4)).search(
             corpus["query"], corpus["db"]
         )
         n_groups = len(pack_database(corpus["db"], 4))
         with obs.collect("counters") as instr:
-            scores, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+            scores, _ = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=4)).search(
                 corpus["query"], corpus["db"],
                 checkpoint=journal, resume=True,
             )
@@ -137,7 +137,10 @@ class TestSigkillResume:
 
         # Second resume: the journal is complete, nothing recomputes.
         with obs.collect("counters") as instr2:
-            scores2, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+            scores2, _ = BatchedEngine(
+                BLOSUM62, GP,
+                SearchConfig(group_size=4),
+            ).search(
                 corpus["query"], corpus["db"],
                 checkpoint=journal, resume=True,
             )
@@ -153,33 +156,35 @@ class TestDeadlineResume:
         """PR 3's deadline path feeds PR 5's journal: groups finished
         before the deadline are already durable, and --resume finishes
         only the remainder."""
-        import repro.engine.executor as executor
+        from dataclasses import replace
 
-        from repro.engine import SearchDeadlineExceeded
+        from repro.engine import LANE_KERNELS, SearchDeadlineExceeded
 
         journal = corpus["tmp"] / "deadline.wal"
-        real = executor.score_packed_group
+        gotoh = LANE_KERNELS["gotoh"]
 
         def slow(profile, group, gaps):
             time.sleep(0.15)
-            return real(profile, group, gaps)
+            return gotoh.score(profile, group, gaps)
 
-        monkeypatch.setattr(executor, "score_packed_group", slow)
+        monkeypatch.setitem(
+            LANE_KERNELS, "gotoh", replace(gotoh, score=slow)
+        )
         engine = BatchedEngine(
-            BLOSUM62, GP, group_size=4,
-            fault_policy=FaultPolicy(deadline=0.4),
+            BLOSUM62, GP,
+            SearchConfig(group_size=4, fault_policy=FaultPolicy(deadline=0.4)),
         )
         with pytest.raises(SearchDeadlineExceeded) as excinfo:
             engine.search(corpus["query"], corpus["db"], checkpoint=journal)
         assert excinfo.value.partial  # something finished before expiry
         monkeypatch.undo()
 
-        reference, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+        reference, _ = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=4)).search(
             corpus["query"], corpus["db"]
         )
         n_groups = len(pack_database(corpus["db"], 4))
         with obs.collect("counters") as instr:
-            scores, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+            scores, _ = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=4)).search(
                 corpus["query"], corpus["db"],
                 checkpoint=journal, resume=True,
             )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.alphabet import BLOSUM62, GapPenalty, build_blosum
-from repro.engine import BatchedEngine
+from repro.engine import BatchedEngine, SearchConfig
 from repro.sequence import Database, Sequence, random_protein
 from repro.sw import sw_score_scalar
 
@@ -84,7 +84,7 @@ class TestRandomizedEquivalence:
     def test_matches_scalar(self, matrices, ragged_db, mat_index, gaps):
         matrix = matrices[mat_index]
         rng = np.random.default_rng(100 * mat_index + gaps.rho)
-        engine = BatchedEngine(matrix, gaps, group_size=5)
+        engine = BatchedEngine(matrix, gaps, SearchConfig(group_size=5))
         for m in (1, 23):
             query = random_protein(m, rng, id="q")
             scores, report = engine.search(query, ragged_db)
@@ -109,7 +109,7 @@ class TestEdgeShapes:
             [Sequence.random(f"s{i}", 1, rng) for i in range(7)]
         )
         gaps = GapPenalty.cudasw_default()
-        engine = BatchedEngine(BLOSUM62, gaps, group_size=3)
+        engine = BatchedEngine(BLOSUM62, gaps, SearchConfig(group_size=3))
         for m in (1, 12):
             q = random_protein(m, rng, id="q")
             scores, _ = engine.search(q, db)
@@ -126,7 +126,7 @@ class TestEdgeShapes:
             + [Sequence.random(f"tiny{i}", 1, rng) for i in range(6)]
         )
         gaps = GapPenalty.cudasw_default()
-        engine = BatchedEngine(BLOSUM62, gaps, group_size=7)
+        engine = BatchedEngine(BLOSUM62, gaps, SearchConfig(group_size=7))
         q = random_protein(30, rng, id="q")
         scores, report = engine.search(q, db)
         assert np.array_equal(scores, _reference(q, db, BLOSUM62, gaps))
@@ -140,7 +140,7 @@ class TestEdgeShapes:
              for i, n in enumerate([8, 20, 33])]
         )
         gaps = GapPenalty.cudasw_default()
-        engine = BatchedEngine(BLOSUM62, gaps, group_size=64)
+        engine = BatchedEngine(BLOSUM62, gaps, SearchConfig(group_size=64))
         q = random_protein(15, rng, id="q")
         scores, report = engine.search(q, db)
         assert np.array_equal(scores, _reference(q, db, BLOSUM62, gaps))
@@ -155,7 +155,7 @@ class TestEdgeShapes:
              for i, n in enumerate([1, 9, 25])]
         )
         gaps = GapPenalty(rho=2**20, sigma=2**20)
-        engine = BatchedEngine(BLOSUM62, gaps, group_size=2)
+        engine = BatchedEngine(BLOSUM62, gaps, SearchConfig(group_size=2))
         q = random_protein(11, rng, id="q")
         scores, _ = engine.search(q, db)
         assert np.array_equal(scores, _reference(q, db, BLOSUM62, gaps))
@@ -171,5 +171,5 @@ class TestEdgeShapes:
         )
         gaps = GapPenalty.cudasw_default()
         q = random_protein(25, rng, id="q")
-        scores, _ = BatchedEngine(BLOSUM62, gaps, group_size=2).search(q, db)
+        scores, _ = BatchedEngine(BLOSUM62, gaps, SearchConfig(group_size=2)).search(q, db)
         assert np.array_equal(scores, _reference(q, db, BLOSUM62, gaps))
