@@ -1,12 +1,11 @@
 """Command-line interface.
 
-Six subcommands::
+Five subcommands::
 
     python -m repro align   A.fasta B.fasta        # pairwise alignment
     python -m repro search  query.fasta db.fasta   # database search + E-values
     python -m repro predict --profile swissprot    # modeled GCUPs report
     python -m repro exhibit figure3                # regenerate a paper exhibit
-    python -m repro bench gate                     # CI perf-regression gate
     python -m repro db build db.fasta db.rdb       # pre-packed binary store
 
 Every subcommand accepts ``--help``.  The functions return process exit
@@ -308,31 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         "statistics (reads the index only, never the residue blob)",
     )
     p_db_info.add_argument("store", help=".rdb path")
-
-    p_bench = sub.add_parser(
-        "bench", help="benchmark history utilities (perf-regression gate)"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_gate = bench_sub.add_parser(
-        "gate",
-        help="compare the newest benchmark run in the history file "
-        "against the rolling baseline and fail on regression",
-    )
-    p_gate.add_argument(
-        "--history", default="BENCH_history.jsonl", metavar="PATH",
-        help="JSONL history written by benchmarks/"
-        "bench_engine_throughput.py (default: %(default)s)",
-    )
-    p_gate.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRACTION",
-        help="allowed fractional drop below the baseline median before "
-        "the gate fails (default: 0.2)",
-    )
-    p_gate.add_argument(
-        "--min-baseline", type=int, default=None, metavar="N",
-        help="baseline entries required before a key is gated; keys "
-        "with fewer prior runs are skipped (default: 1)",
-    )
 
     return parser
 
@@ -642,25 +616,6 @@ def _cmd_db(args, out: IO[str]) -> int:
     return 0
 
 
-def _cmd_bench(args, out: IO[str]) -> int:
-    from repro.obs.perfgate import DEFAULT_MIN_BASELINE, DEFAULT_TOLERANCE
-    from repro.obs.perfgate import gate as perf_gate
-
-    tolerance = (
-        DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    )
-    min_baseline = (
-        DEFAULT_MIN_BASELINE
-        if args.min_baseline is None
-        else args.min_baseline
-    )
-    outcome = perf_gate(
-        args.history, tolerance=tolerance, min_baseline=min_baseline
-    )
-    print(outcome.render(), file=out)
-    return 0 if outcome.passed else 1
-
-
 def _cmd_predict(args, out: IO[str]) -> int:
     if args.profile:
         profile = next(
@@ -759,6 +714,5 @@ def main(argv: TySequence[str] | None = None, out: IO[str] | None = None) -> int
         "predict": _cmd_predict,
         "exhibit": _cmd_exhibit,
         "db": _cmd_db,
-        "bench": _cmd_bench,
     }
     return handlers[args.command](args, out)

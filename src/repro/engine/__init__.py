@@ -10,8 +10,8 @@ worker processes (:mod:`~repro.engine.executor`).
 
 :class:`BatchedEngine` is the turnkey front end used by
 :meth:`repro.app.cudasw.CudaSW.search` (the default functional backend)
-and by the throughput benchmark; the pieces compose individually for
-anything custom.  Scores are bit-identical to
+and by the repository benchmark (``bench/``); the pieces compose
+individually for anything custom.  Scores are bit-identical to
 :func:`~repro.sw.scalar.sw_score_scalar` on every pair.
 """
 
@@ -114,15 +114,14 @@ __all__ = [
 ]
 
 #: Smallest FASTA-backed search (query length x padded database cells)
-#: worth fanning out to worker processes.  Below this, pool spin-up plus
-#: per-chunk group pickling costs more than the sweep itself —
-#: BENCH_engine.json showed ``workers=2`` *losing* to serial on the
-#: 1,000-sequence benchmark (1.28s vs 1.18s), whose ~90M padded cells
-#: sit well under this line.  Searches smaller than the threshold are
-#: demoted to the serial path (counted as
-#: ``engine.executor.fanout_demotions``); an explicit fault policy
-#: suppresses the demotion, since fault-injection and timeout semantics
-#: need the pool.
+#: worth fanning out to worker processes.  Below this, starting the pool
+#: and pickling the packed groups to each worker costs more than the
+#: sweep itself saves.  Searches smaller than the threshold are demoted
+#: to the serial path (counted as ``engine.executor.fanout_demotions``);
+#: the pool's payoff on the host at hand is measured by the
+#: ``executor.fanout_speedup`` per-layer metric in ``bench/``.  An
+#: explicit fault policy suppresses the demotion, since fault-injection
+#: and timeout semantics need the pool.
 DEFAULT_FANOUT_MIN_CELLS = 256 * 1024 * 1024
 
 #: Fan-out floor for *store-backed* searches.  With a pre-packed

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 
 import numpy as np
@@ -488,6 +489,13 @@ class TestParser:
     def test_help_builds(self):
         parser = build_parser()
         assert "align" in parser.format_help()
+        (subparsers,) = (
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(subparsers.choices) == {
+            "align", "search", "predict", "exhibit", "db",
+        }
 
     def test_db_subcommands_registered(self):
         help_text = build_parser().format_help()
