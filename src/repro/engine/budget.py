@@ -1,8 +1,9 @@
 """Memory budgeting for group packing: split instead of OOM.
 
-The lane sweep materializes roughly seven ``(size, max_len)`` working
-arrays per group (H double-buffer, F, Htmp, scan and scratch buffers,
-the similarity gather) on top of the ``uint8`` code matrix — see
+The lane sweep materializes six ``(size, max_len)`` working arrays per
+group (H double-buffer, F, Htmp, the scan buffer and the similarity
+gather) plus an ``intp`` gather index on top of the ``uint8`` code
+matrix — see
 :func:`~repro.engine.lanes.score_packed_group`.  A titin-class tail
 group in a wide packing can therefore allocate hundreds of megabytes at
 once, and on a memory-capped host the kernel's OOM killer ends the
@@ -37,15 +38,17 @@ __all__ = [
     "estimate_strip_group_bytes",
 ]
 
-#: Estimated working-set bytes per padded lane cell: seven int64
-#: ``(size, max_len)`` sweep buffers (the worst-case dtype) plus the
-#: uint8 code matrix, rounded up for interpreter slack.  Deliberately
-#: conservative — the budget is an OOM guard, not an allocator.
+#: Estimated working-set bytes per padded lane cell: six int64
+#: ``(size, max_len)`` sweep buffers (the worst-case dtype), the 8-byte
+#: gather index and the uint8 code matrix (57 bytes), rounded up for
+#: interpreter slack.  Deliberately conservative — the budget is an OOM
+#: guard, not an allocator.
 SWEEP_BYTES_PER_CELL = 64
 
 #: The strip-sweep engine keeps more live ``(strips, width)`` buffers
-#: per row than the rectangle sweep (H/F/E plus the diagonal shift, two
-#: prefix-scan workspaces and the segmented-carry key), so its
+#: per row than the rectangle sweep (H, F, Htmp, the diagonal shift,
+#: the scan buffer, the E candidate and the similarity gather: seven
+#: int64 buffers plus the 8-byte gather index, 64 bytes), so its
 #: per-strip-cell estimate is half again the rectangle figure.
 STRIP_SWEEP_BYTES_PER_CELL = 96
 

@@ -92,19 +92,30 @@ def padded_lane_profile(profile: QueryProfile, pad_code: int) -> np.ndarray:
 def _working_dtype(
     m: int, L: int, max_abs_score: int, gaps: GapPenalty
 ) -> type:
-    """int32 when every intermediate provably fits, else int64.
+    """The narrowest of int16, int32 and int64 every intermediate fits.
 
     The extreme magnitudes are the prefix-scan ramp (``L * sigma``), the
     decayed F boundary (``~m * sigma + rho`` below the -inf seed) and
-    accumulated similarity (``m * |W|_max``); int32 covers every
-    realistic matrix/penalty, int64 is the safety net for adversarial
-    penalties near the ``2**20`` validation cap.
+    accumulated similarity (``m * |W|_max``); ``bound`` below covers
+    their sum.  One ladder, three rungs; the two narrow ones keep
+    ``bound`` below half their dtype's range:
+
+    * **int16** when ``bound < 2**14``: short queries and subjects under
+      ordinary matrices and penalties — the bulk of a protein search.
+      Half the bytes of int32 per cell, so every elementwise pass and
+      the similarity gather move half the memory.
+    * **int32** when ``bound < 2**30``: every realistic matrix/penalty
+      at any length the search takes.
+    * **int64** otherwise: the safety net for adversarial penalties
+      near the ``2**20`` validation cap.
     """
     bound = (
         2 * m * max_abs_score
         + gaps.rho
         + gaps.sigma * (L + 2 * m + 4)
     )
+    if bound < 2**14:
+        return np.int16
     return np.int32 if bound < 2**30 else np.int64
 
 
@@ -117,18 +128,25 @@ def score_packed_group(
     """
     validate_penalties(gaps)
     m = profile.length
+    s, L = group.codes.shape
+    rho, sigma = gaps.rho, gaps.sigma
+    max_abs = int(np.abs(profile.scores).max())
+    dtype = _working_dtype(m, L, max_abs, gaps)
     instr = obs_current()
     if instr.enabled:
         count_sweep_work(instr, m, group)
-    s, L = group.codes.shape
-    rho, sigma = gaps.rho, gaps.sigma
-    pp = padded_lane_profile(profile, group.pad_code)
-    dtype = _working_dtype(m, L, int(np.abs(profile.scores).max()), gaps)
-    pp = pp.astype(dtype, copy=False)
+        if dtype is np.int16:
+            instr.count("engine.sweep.int16_groups", 1)
+    pp = padded_lane_profile(profile, group.pad_code).astype(
+        dtype, copy=False
+    )
+    #: The gather index, widened once: ``np.take`` would otherwise
+    #: convert the uint8 codes to ``intp`` again on every query row.
+    codes = group.codes.astype(np.intp)
 
     #: -inf stand-in for the F boundary: deep enough that m rows of
     #: sigma-decay still lose to any reachable alternative.
-    neg = dtype(-(m * int(np.abs(profile.scores).max()) + rho + sigma * (m + 2)))
+    neg = dtype(-(m * max_abs + rho + sigma * (m + 2)))
     ramp = (sigma * np.arange(L + 1, dtype=np.int64)).astype(dtype)
     e_off = (rho + ramp[:L]).astype(dtype)  # rho + (j-1)*sigma at column j
 
@@ -137,17 +155,21 @@ def score_packed_group(
     h_cur = np.empty_like(h_prev)
     htmp = np.empty_like(h_prev)  # max(0, F, H_diag + W): H before E
     g = np.empty_like(h_prev)  # scan buffer
-    tmp = np.empty_like(h_prev)
     sub = np.empty((s, L), dtype=dtype)
     best = np.zeros(s, dtype=dtype)
 
     for i in range(m):
         # F[i] = max(F[i-1] - sigma, H[i-1] - rho), elementwise per lane.
+        # h_cur is dead until this row's H overwrites all of it below,
+        # so it doubles as the H - rho scratch.
         np.subtract(f_prev, sigma, out=f_prev)
-        np.subtract(h_prev, rho, out=tmp)
-        np.maximum(f_prev, tmp, out=f_prev)
+        np.subtract(h_prev, rho, out=h_cur)
+        np.maximum(f_prev, h_cur, out=f_prev)
         # Similarity of query row i against every lane column: one gather.
-        np.take(pp[i], group.codes, out=sub)
+        # PackedGroup guarantees every code is <= pad_code, so "clip"
+        # never clips; unlike "raise" it writes straight into ``sub``
+        # instead of through a temporary of the same size.
+        np.take(pp[i], codes, out=sub, mode="clip")
         # Htmp = max(0, F, H[i-1][j-1] + W) — H with E not yet folded in.
         np.add(h_prev[:, :L], sub, out=htmp[:, 1:])
         np.maximum(htmp[:, 1:], f_prev[:, 1:], out=htmp[:, 1:])

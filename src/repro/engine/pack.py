@@ -108,6 +108,10 @@ class PackedGroup:
             raise ValueError("a packed group cannot be empty")
         if self.codes.shape[1] != int(self.lengths.max()):
             raise ValueError("code matrix width must equal the max length")
+        if int(self.codes.max()) > self.pad_code:
+            # The lane kernels gather with mode="clip", which would
+            # silently score such a residue as padding.
+            raise ValueError("packed codes must not exceed the pad code")
 
     @property
     def size(self) -> int:

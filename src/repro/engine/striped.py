@@ -39,7 +39,7 @@ wrap-free and makes saturation detectable — until a lane's true score
 first reaches ``cap8``, its clipped sweep is *exact*, so ``clipped ==
 cap8  <=>  true >= cap8``.  Saturated lanes are re-swept in ``int16``
 (``engine.striped.overflow_reruns``/``saturated_lanes``), and lanes
-past even ``cap16`` fall back to the exact int64 Gotoh sweep of
+past even ``cap16`` fall back to the exact (non-saturating) Gotoh sweep of
 :func:`~repro.engine.lanes.score_packed_group` — scores are therefore
 bit-identical to :func:`~repro.sw.scalar.sw_score_scalar` on every
 lane, no matter how large they grow.
@@ -229,7 +229,7 @@ def score_packed_group_striped(
     """Optimal local-alignment score of the query against every lane.
 
     Runs the saturating ``uint8`` tier, re-sweeps saturated lanes in
-    ``int16``, and falls back to the exact int64 Gotoh sweep for lanes
+    ``int16``, and falls back to the exact Gotoh row sweep for lanes
     past even the ``int16`` cap (or for matrices no narrow tier
     supports).  Returns an ``int64`` array of ``group.size`` scores in
     lane order, bit-identical to

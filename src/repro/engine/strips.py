@@ -12,7 +12,7 @@ This module is that tiling in NumPy lane form.  Each subject of length
 (:data:`DEFAULT_STRIP_WIDTH`); every strip becomes one lane of a
 ``(total_strips, W)`` code matrix, so the padding per subject is bounded
 by ``W - 1`` cells **regardless of its length** — a 3,597-residue tail
-subject packs at ``3597 / 3584``... of its own strips' rectangle instead
+subject takes 8 strips of 512 (4,096 cells, about 88% useful) instead
 of dragging a whole group down to its width.  One Python step per query
 row advances *every strip of every subject* at once, exactly like the
 row sweep of :mod:`~repro.engine.lanes`.
@@ -108,6 +108,34 @@ def score_packed_group_strips(
     strip lanes and sweeps all strips per query row.  Returns an
     ``int64`` array of ``group.size`` scores in lane order,
     bit-identical to :func:`~repro.engine.lanes.score_packed_group`.
+
+    The ``(strips, W)`` buffers take their dtype from
+    :func:`~repro.engine.lanes._working_dtype` at the strip width ``W``,
+    not at the tiled row length: everything that crosses a strip
+    boundary (the whole-strip decay ``off``, the segmentation bias and
+    the carry scan) is int64.  With ``M = m * max_abs`` (``max_abs``:
+    the largest similarity magnitude) and
+    ``neg = -(M + rho + sigma * (m + 2))`` the narrow intermediates are
+
+    * similarity gather ``sub`` and profile ``pp``: ``[-(M + 1), M]``
+      (the pad sentinel is ``-(M + 1)``);
+    * H (``h_prev``, ``diag``): ``[0, M]``; ``Htmp``: ``[0, M]`` after
+      its clamp, ``[-(M + 1), 2M]`` before;
+    * ``H - rho`` (F's scratch, held in ``diag``): ``[-rho, M]``;
+    * F: ``neg - sigma`` on row 0, ``[-rho - sigma, M]`` after;
+    * in-strip scan ``g``: ``[0, M + (W - 1) * sigma]``;
+    * ``carry_col``: an earlier strip's ``g`` decayed by whole strips,
+      clipped from below at ``neg`` in int64 before the cast, so
+      ``[neg, M + (W - 1) * sigma]``;
+    * ``ecand``: ``max(g[j - 1] or neg, carry)`` minus
+      ``e_off[j] = rho + (j - 1) * sigma``.  Its low extreme is
+      ``ecand[:, 0] = neg - e_off[0] = -(M + 2 * rho + sigma * (m + 1))``,
+      its high one ``M + W * sigma``.
+
+    ``_working_dtype``'s ``bound = 2M + rho + sigma * (W + 2m + 4)``
+    exceeds every magnitude but the ``ecand[:, 0]`` one, which stays
+    below ``bound + rho < 2 * bound``: inside the dtype, because each
+    narrow rung keeps ``bound`` below half its range.
     """
     validate_penalties(gaps)
     if group.pad_code != profile.matrix.alphabet.size:
@@ -132,22 +160,26 @@ def score_packed_group_strips(
     local = np.arange(total, dtype=np.int64) - offsets[:-1][seq_of]
     first = local == 0  # strip 0 of each subject: no carry, no wrap
 
+    rho, sigma = gaps.rho, gaps.sigma
+    max_abs = max(int(np.abs(profile.scores).max()), 1)
+    dtype = _working_dtype(m, w, max_abs, gaps)
     instr = obs_current()
     if instr.enabled:
         count_strips_work(instr, m, group, w, total)
+        if dtype is np.int16:
+            instr.count("engine.strips.int16_groups", 1)
 
     # Re-tile: subject q's true residues, flattened across its strips.
-    codes = np.full((total, w), group.pad_code, dtype=np.uint8)
+    # The tiles are the gather index, so they are built as ``intp``
+    # once rather than converted from uint8 on every query row.
+    codes = np.full((total, w), group.pad_code, dtype=np.intp)
     for q in range(n):
         length = int(lengths[q])
         s0 = int(offsets[q])
         k = int(counts[q])
         codes[s0 : s0 + k].reshape(-1)[:length] = group.codes[q, :length]
 
-    rho, sigma = gaps.rho, gaps.sigma
-    max_abs = max(int(np.abs(profile.scores).max()), 1)
     pp = padded_lane_profile(profile, group.pad_code)
-    dtype = _working_dtype(m, total * w, max_abs, gaps)
     pp = pp.astype(dtype, copy=False)
 
     #: -inf stand-in, decay-proof over m rows (same bound as the row
@@ -185,7 +217,6 @@ def score_packed_group_strips(
     g = np.empty_like(h_prev)  # in-strip scan buffer
     ecand = np.empty_like(h_prev)
     sub = np.empty((total, w), dtype=dtype)
-    tmp = np.empty_like(h_prev)
     bests = np.zeros(total, dtype=dtype)  # per-strip Htmp maxima
     bshift = np.empty(total, dtype=np.int64)
     key = np.empty(total, dtype=np.int64)
@@ -195,11 +226,13 @@ def score_packed_group_strips(
     for i in range(m):
         # F[i] = max(F[i-1] - sigma, H[i-1] - rho): vertical chains live
         # inside a column, so strips tile them without any boundary.
+        # diag is dead until its full rewrite below, so it holds H - rho.
         np.subtract(f, sigma, out=f)
-        np.subtract(h_prev, rho, out=tmp)
-        np.maximum(f, tmp, out=f)
-        # Similarity of query row i against every strip column.
-        np.take(pp[i], codes, out=sub)
+        np.subtract(h_prev, rho, out=diag)
+        np.maximum(f, diag, out=f)
+        # Similarity of query row i against every strip column ("clip"
+        # as in the row sweep: in range, and no temporary).
+        np.take(pp[i], codes, out=sub, mode="clip")
         # Diagonal H[i-1][c-1]: in-strip shift; column 0 wraps from the
         # previous strip's last column (zero at each subject's strip 0).
         diag[:, 1:] = h_prev[:, :-1]

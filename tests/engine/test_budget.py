@@ -13,6 +13,8 @@ from repro.engine import (
     pack_database,
 )
 from repro.engine.budget import SWEEP_BYTES_PER_CELL
+from repro.engine.lanes import _working_dtype
+from repro.engine.pack import DEFAULT_STRIP_WIDTH
 from repro.sequence import Database, Sequence, random_protein
 
 GP = GapPenalty.cudasw_default()
@@ -131,3 +133,34 @@ class TestPackWithBudget:
             BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=8)).search(
                 query, db, checkpoint=path, resume=True
             )
+
+
+class TestEstimateCoversSweep:
+    """The per-cell estimate must cover the sweep's real peak even in
+    the int64 rung, where every working buffer is widest."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SearchConfig(group_size=128),
+            SearchConfig(engine="hetero", split_threshold=0, group_size=128),
+        ],
+        ids=["gotoh", "strips"],
+    )
+    def test_no_underestimate_in_the_int64_rung(self, config):
+        rng = np.random.default_rng(43)
+        db = Database.from_sequences(
+            [Sequence.random(f"s{i}", int(n), rng)
+             for i, n in enumerate(rng.integers(900, 1000, size=128))]
+        )
+        query = random_protein(400, rng)
+        # Penalties at the validation cap push both sweeps past int32,
+        # at the group's width and at the default strip width alike.
+        gaps = GapPenalty(rho=2**20, sigma=2**20)
+        for width in (int(db.lengths.max()), DEFAULT_STRIP_WIDTH):
+            assert _working_dtype(400, width, 11, gaps) is np.int64
+        with obs.collect("full", memory=True) as instr:
+            BatchedEngine(BLOSUM62, gaps, config).search(query, db)
+        counters = instr.counters
+        assert counters.get("engine.mem.budget_checks") == 1
+        assert counters.get("engine.mem.budget_underestimates") == 0

@@ -1,20 +1,27 @@
-"""Score-dtype stability: results past the int16 range stay exact.
+"""Score-dtype stability: every working-dtype rung scores exactly.
 
 The paper's kernels keep scores in registers wide enough for the worst
 case; a narrow accumulator silently wraps on long high-identity
-alignments.  These tests pin the batched engine's dtype policy
-(`_working_dtype`) and prove, end to end, that a score which cannot fit
-in int16 comes back exact — both against the closed-form perfect-match
-score and against the independent antidiagonal aligner.
+alignments.  These tests pin the row and strip sweeps' dtype ladder
+(`_working_dtype`: int16, int32, int64) at its rung boundaries, prove
+end to end that a score which cannot fit in int16 comes back exact, and
+compare both sweeps against the scalar reference over random matrices,
+penalties and lengths on either side of the int16 bound and the strip
+width.
 """
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from repro.alphabet import BLOSUM62, GapPenalty
+from repro.alphabet import BLOSUM62, PROTEIN, GapPenalty, SubstitutionMatrix
 from repro.engine import BatchedEngine, SearchConfig
-from repro.engine.lanes import _working_dtype
-from repro.sequence import Database, Sequence
+from repro.engine.lanes import _working_dtype, score_packed_group
+from repro.engine.pack import pack_group
+from repro.engine.strips import score_packed_group_strips
+from repro.sequence import Database, QueryProfile, Sequence
+from repro.sw import sw_score_scalar
 from repro.sw.antidiagonal import sw_score_antidiagonal
 
 GP = GapPenalty.cudasw_default()
@@ -25,7 +32,42 @@ W_SELF = 11
 INT16_MAX = 2**15 - 1
 
 
+def _gaps_at_bound(m, L, max_abs, bound):
+    """Penalties (sigma = 1) that put `_working_dtype`'s worst-case
+    magnitude, ``2*m*max_abs + rho + sigma*(L + 2m + 4)``, exactly at
+    ``bound``."""
+    return GapPenalty(rho=bound - (2 * m * max_abs + L + 2 * m + 4), sigma=1)
+
+
+def _matrix_scale(m, bound):
+    """BLOSUM62 multiplier that lets an ``m``-row query reach ``bound``
+    with a gap-open penalty under the ``2**20`` cap."""
+    return max(1, (bound - 2**19) // (2 * m * W_SELF))
+
+
+#: The worst-case bound on each side of each rung boundary, and the
+#: rung it selects.
+RUNG_BOUNDARIES = [
+    (2**14 - 1, np.int16),
+    (2**14, np.int32),
+    (2**30 - 1, np.int32),
+    (2**30, np.int64),
+]
+
+
 class TestWorkingDtype:
+    @pytest.mark.parametrize("bound, expected", RUNG_BOUNDARIES)
+    def test_rung_boundaries(self, bound, expected):
+        m, L = 30, 40
+        max_abs = W_SELF * _matrix_scale(m, bound)
+        gaps = _gaps_at_bound(m, L, max_abs, bound)
+        assert _working_dtype(m, L, max_abs, gaps) is expected
+
+    def test_ordinary_protein_search_runs_int16(self):
+        # A 300-aa query against a 1,000-aa subject under BLOSUM62 and
+        # the default penalties: the bulk of a Swiss-Prot search.
+        assert _working_dtype(300, 1000, W_SELF, GP) is np.int16
+
     def test_overflowing_int16_geometry_selects_int32(self):
         # 3200 residues of W against itself: true score 35200 > int16.
         dtype = _working_dtype(3200, 3200, W_SELF, GP)
@@ -81,3 +123,105 @@ class TestOverflowEquivalence:
         assert int(scores[1]) == sw_score_antidiagonal(
             query, short, BLOSUM62, GP
         )
+
+
+def _group(subjects, lane_engine="gotoh", strip_width=None):
+    db = Database.from_sequences(subjects)
+    return pack_group(
+        db, np.arange(len(subjects)), lane_engine=lane_engine,
+        strip_width=strip_width,
+    )
+
+
+def _assert_sweeps_match_scalar(query, subjects, matrix, gaps, strip_width):
+    """Both sweeps score every subject exactly like the scalar DP."""
+    profile = QueryProfile(query.codes, matrix)
+    expected = [sw_score_scalar(query, d, matrix, gaps) for d in subjects]
+    rows = score_packed_group(profile, _group(subjects), gaps)
+    strips = score_packed_group_strips(
+        profile, _group(subjects, "strips", strip_width), gaps
+    )
+    assert rows.tolist() == expected
+    assert strips.tolist() == expected
+
+
+class TestRungBoundaryScores:
+    """Scores on both sides of each rung boundary.  The penalties push
+    the sweeps' most negative intermediates (the F seed and the strip
+    sweep's ``neg - e_off[0]`` column) right to the rung's edge."""
+
+    @pytest.mark.parametrize("bound, expected", RUNG_BOUNDARIES)
+    def test_row_and_strip_sweeps_at_the_bound(self, bound, expected):
+        rng = np.random.default_rng(bound)
+        m, w, widest = 30, 16, 40
+        # The query's W keeps the scaled matrix's |W|_max at 11 * scale.
+        scale = _matrix_scale(m, bound)
+        matrix = SubstitutionMatrix(
+            f"BLOSUM62x{scale}", PROTEIN, BLOSUM62.scores * scale
+        )
+        codes = PROTEIN.random_codes(m, rng)
+        codes[m // 2] = PROTEIN.code_of("W")
+        query = Sequence("q", codes)
+        subjects = [
+            Sequence.random(f"d{i}", n, rng)
+            for i, n in enumerate([w - 1, w, w + 1, 2 * w + 1, widest])
+        ]
+        # The row sweep sizes from the group's width, the strip sweep
+        # from the strip width: pin each to the bound in turn.
+        for width in (widest, w):
+            gaps = _gaps_at_bound(m, width, W_SELF * scale, bound)
+            # The rung boundary is where the test means to be.
+            assert _working_dtype(m, width, W_SELF * scale, gaps) is expected
+            _assert_sweeps_match_scalar(query, subjects, matrix, gaps, w)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A query, subjects, a symmetric random matrix, penalties and a
+    strip width, sized so every rung of the dtype ladder is drawn."""
+    n = PROTEIN.size
+    m = draw(st.integers(1, 24))
+    # Up to 400 straddles the int16 bound at these lengths; 2**30 // m
+    # carries accumulated similarity past int32.
+    scale = draw(
+        st.one_of(
+            st.integers(1, 400), st.integers(2**20, 2**25), st.just(2**30 // m)
+        )
+    )
+    all_negative = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = (-scale, 0) if all_negative else (-scale, scale + 1)
+    upper = np.triu(rng.integers(low, high, size=(n, n)))
+    scores = upper + np.triu(upper, 1).T
+    matrix = SubstitutionMatrix("random", PROTEIN, scores)
+    sigma = draw(st.one_of(st.integers(1, 16), st.integers(1, 2**20)))
+    # rho up to 2**15 reaches the int16 rung's most negative
+    # intermediate, ``-(M + 2*rho + sigma*(m + 1))``.
+    rho = draw(st.integers(sigma, min(2**20, sigma + 2**15)))
+    w = draw(st.integers(1, 12))
+    near_strip = st.sampled_from(
+        [k for k in (w - 1, w, w + 1, 2 * w - 1, 2 * w + 1) if k >= 1]
+    )
+    lengths = draw(
+        st.lists(st.one_of(st.integers(1, 48), near_strip),
+                 min_size=1, max_size=4)
+    )
+    query = Sequence.random("q", m, rng)
+    subjects = [
+        Sequence.random(f"d{i}", length, rng)
+        for i, length in enumerate(lengths)
+    ]
+    return query, subjects, matrix, GapPenalty(rho, sigma), w
+
+
+class TestSweepsAgainstScalar:
+    @settings(max_examples=80, deadline=None)
+    @given(case=sweep_cases())
+    def test_row_and_strip_sweeps_match_scalar(self, case):
+        query, subjects, matrix, gaps, w = case
+        m = len(query)
+        max_abs = int(np.abs(matrix.scores[:, query.codes]).max())
+        for sweep, width in (("row", max(map(len, subjects))), ("strip", w)):
+            dtype = _working_dtype(m, width, max_abs, gaps)
+            event(f"{sweep} sweep {dtype.__name__}")
+        _assert_sweeps_match_scalar(query, subjects, matrix, gaps, w)

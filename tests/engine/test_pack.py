@@ -65,6 +65,17 @@ class TestPackGroup:
                 packed.pad_code,
             )
 
+    def test_rejects_codes_past_the_pad_code(self, db):
+        # The lane kernels gather with mode="clip": an out-of-range code
+        # must be refused here, not silently scored as padding.
+        packed = pack_group(db, np.array([0, 1]))
+        codes = packed.codes.copy()
+        codes[0, 0] = packed.pad_code + 1
+        with pytest.raises(ValueError, match="pad code"):
+            PackedGroup(
+                packed.indices, packed.lengths, codes, packed.pad_code
+            )
+
 
 class TestPackDatabase:
     def test_groups_are_length_sorted(self, db):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.alphabet import GapPenalty
 from repro.app import CudaSW, search_batch
 from repro.engine import FaultPolicy
 from repro.obs import NO_OP
@@ -147,6 +148,50 @@ class TestBitExactCounters:
             a.pop(extra, None)
             b.pop(extra, None)
         assert a == b
+
+
+class TestWorkingDtypeCounters:
+    """The int16 tier counters say which rung each row/strip sweep ran
+    in, and are charged where the group is swept, so pooled runs report
+    the serial totals."""
+
+    @pytest.mark.parametrize(
+        "engine, extra, kernel",
+        [
+            ("batched", {}, "engine.sweep."),
+            ("hetero", {"split_threshold": 100}, "engine.strips."),
+        ],
+    )
+    def test_tier_counters_identical_to_serial(
+        self, query, db, engine, extra, kernel
+    ):
+        runs = []
+        for workers in (1, 2):
+            app = CudaSW()
+            app.search(
+                query, db, engine=engine, collect="counters",
+                workers=workers, group_size=4,
+                fault_policy=FaultPolicy(chunksize=1), **extra,
+            )
+            counters = app.last_run_report.counters
+            runs.append(
+                {k: v for k, v in counters.items() if k.startswith(kernel)}
+            )
+        serial, fanned = runs
+        assert app.last_run_report.counters.get(
+            "engine.executor.worker_round_trips", 0
+        ) > 0
+        assert serial == fanned
+        # An 80-aa query against subjects up to 400 aa under BLOSUM62:
+        # every row and strip sweep fits the int16 rung.
+        assert serial[kernel + "int16_groups"] == serial[kernel + "groups"] > 0
+
+    def test_wide_rung_groups_not_counted(self, query, db):
+        app = CudaSW(gaps=GapPenalty(rho=2**20, sigma=2**20))
+        app.search(query, db, collect="counters")
+        counters = app.last_run_report.counters
+        assert counters["engine.sweep.groups"] > 0
+        assert "engine.sweep.int16_groups" not in counters
 
 
 class TestWorkerLanes:
