@@ -93,9 +93,13 @@ def search_batch(
     """Functionally search every query; returns per-query results plus
     the aggregated report.
 
-    ``db`` may be an opened :class:`~repro.engine.DatabaseStore` — the
-    pre-packed geometry then pays off once per *campaign*: every query
-    reuses the same memmapped residues and stored group plan.
+    ``db`` may be an opened :class:`~repro.engine.DatabaseStore`: every
+    query of the campaign reads the same memmapped residues, and the
+    single-kernel engines (``batched``, ``striped``) reuse the group
+    plan stored at build time.  ``engine="hetero"`` does not: every
+    query re-tunes its split threshold and re-plans its groups from the
+    store's in-memory index lengths (counted as
+    ``engine.dbstore.geometry_replanned``, once per query).
 
     ``engine`` and ``workers`` select the functional score backend per
     :meth:`CudaSW.search` — the batched default reuses CUDASW++'s

@@ -48,6 +48,7 @@ __all__ = [
     "pack_database",
     "pack_database_hetero",
     "plan_chunks",
+    "strip_cells",
 ]
 
 #: Default strip width for groups swept by the strip engine (DP columns
@@ -59,6 +60,16 @@ DEFAULT_STRIP_WIDTH = 512
 #: Below this packing efficiency the tail chunk is split at its largest
 #: length gaps instead of being packed as one degenerate rectangle.
 TAIL_EFFICIENCY_FLOOR = 0.5
+
+
+def strip_cells(lengths: np.ndarray, strip_width: int | None) -> int:
+    """Cells the strip engine sweeps per query row for these lengths:
+    ``ceil(len / W) * W`` each (at least one strip), ``W`` defaulting to
+    :data:`DEFAULT_STRIP_WIDTH`."""
+    w = strip_width or DEFAULT_STRIP_WIDTH
+    lengths = np.asarray(lengths, dtype=np.int64)
+    counts = np.maximum((lengths + w - 1) // w, 1)
+    return int(counts.sum()) * w
 
 
 @dataclass(frozen=True)
@@ -148,11 +159,7 @@ class PackedGroup:
         matter how ragged the group is.
         """
         if self.lane_engine == "strips":
-            w = self.strip_width or DEFAULT_STRIP_WIDTH
-            counts = np.maximum(
-                (self.lengths.astype(np.int64) + w - 1) // w, 1
-            )
-            return int(counts.sum()) * w
+            return strip_cells(self.lengths, self.strip_width)
         return self.padded_cells
 
     @property

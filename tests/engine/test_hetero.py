@@ -33,7 +33,13 @@ from repro.engine import (
     search_fingerprint,
 )
 from repro.sequence.profile import QueryProfile
-from repro.sequence import Database, Sequence, random_protein, write_fasta
+from repro.sequence import (
+    SWISSPROT_PROFILE,
+    Database,
+    Sequence,
+    random_protein,
+    write_fasta,
+)
 from repro.sw import sw_score_scalar
 
 GP = GapPenalty.cudasw_default()
@@ -346,3 +352,77 @@ class TestCostModelKnobs:
                 corpus["query"], corpus["db"], engine="batched",
                 split_threshold=0,
             )
+
+
+class TestKernelCostModel:
+    """The split tuner and the pool dispatcher price groups with the
+    same per-kernel ``cost`` functions from the kernel table."""
+
+    def _swissprot_lengths(self, n, tail, seed):
+        # The repo benchmark's database shape: stratified Swiss-Prot
+        # lengths plus an evenly spaced 3,600-4,140 aa tail.
+        rng = np.random.default_rng(seed)
+        body = SWISSPROT_PROFILE.build(
+            rng, scale=n / SWISSPROT_PROFILE.n_sequences
+        )
+        tail_lengths = np.linspace(3_600, 4_140, tail, endpoint=False)
+        return np.concatenate([body.lengths, tail_lengths.astype(int)])
+
+    @pytest.mark.parametrize(
+        "n, tail, group_size, expected",
+        [
+            (500, 12, 128, 795),
+            (500, 12, 64, 1081),
+            (500, 12, 8, 370),
+            (60, 2, 128, 313),
+            (1_000, 0, 128, 1141),
+            (200, 0, 128, 687),
+        ],
+    )
+    def test_tuner_picks_pinned_for_bench_shapes(
+        self, n, tail, group_size, expected
+    ):
+        for seed in (1, 2):
+            lengths = self._swissprot_lengths(n, tail, seed)
+            assert (
+                tune_split_threshold(lengths, group_size=group_size)
+                == expected
+            )
+
+    def test_tuner_knob_picks_pinned(self):
+        lengths = self._swissprot_lengths(500, 12, 1)
+        assert tune_split_threshold(
+            lengths, group_size=128, strip_width=64
+        ) == 737
+        assert tune_split_threshold(
+            lengths, group_size=128, strip_cell_cost=0.01
+        ) == 0
+
+    def test_constants_live_in_the_kernel_table(self):
+        from repro.app import threshold
+        from repro.engine import kernels
+
+        assert threshold.STRIP_CELL_COST is kernels.STRIP_CELL_COST
+        assert (
+            threshold.STRIPED_COLUMN_OVERHEAD
+            is kernels.STRIPED_COLUMN_OVERHEAD
+        )
+
+    def test_group_costs(self, corpus):
+        from repro.engine.kernels import (
+            STRIP_CELL_COST,
+            STRIPED_COLUMN_OVERHEAD,
+            group_cost,
+        )
+
+        groups = pack_database_hetero(corpus["db"], 4, 300)
+        for g in groups:
+            cost = group_cost(g)
+            if g.lane_engine == "striped":
+                assert cost == g.max_length * (
+                    g.size + STRIPED_COLUMN_OVERHEAD
+                )
+            else:
+                assert cost == g.sweep_cells * STRIP_CELL_COST
+            gotoh = LANE_KERNELS["gotoh"].cost(g.lengths, g.strip_width)
+            assert gotoh == g.padded_cells
