@@ -96,9 +96,6 @@ class LaneKernel:
         ``cost(lengths, strip_width)``: the modeled sweep cost of one
         group with these member lengths, in striped-cell units (only
         ``strips`` reads the strip width; ``None`` is the default).
-        The kernel's own constant may be overridden by keyword
-        (``column_overhead=`` for ``striped``, ``strip_cell_cost=`` for
-        ``strips``), which is how the split tuner's knobs reach it.
     token:
         The group's checkpoint fingerprint token.
     """
@@ -109,7 +106,7 @@ class LaneKernel:
     plan_kind: str
     tail_floor: float
     working_set: Callable[[PackedGroup], int]
-    cost: Callable[..., float]
+    cost: Callable[[np.ndarray, int | None], float]
     token: Callable[[PackedGroup], str]
 
 
@@ -132,24 +129,20 @@ def _rectangle_cost(
 
 
 def _column_cost(
-    lengths: np.ndarray,
-    strip_width: int | None = None,
-    *,
-    column_overhead: float = STRIPED_COLUMN_OVERHEAD,
+    lengths: np.ndarray, strip_width: int | None = None
 ) -> float:
     """A column sweep runs one iteration per database column, each
     costing the group's lanes plus the fixed per-iteration overhead."""
-    return float(int(lengths.max())) * (lengths.size + column_overhead)
+    return float(int(lengths.max())) * (
+        lengths.size + STRIPED_COLUMN_OVERHEAD
+    )
 
 
 def _strip_cost(
-    lengths: np.ndarray,
-    strip_width: int | None = None,
-    *,
-    strip_cell_cost: float = STRIP_CELL_COST,
+    lengths: np.ndarray, strip_width: int | None = None
 ) -> float:
-    """A strip sweep costs ``strip_cell_cost`` per strip-swept cell."""
-    return float(strip_cells(lengths, strip_width)) * strip_cell_cost
+    """A strip sweep costs ``STRIP_CELL_COST`` per strip-swept cell."""
+    return float(strip_cells(lengths, strip_width)) * STRIP_CELL_COST
 
 
 def _strips_token(group: PackedGroup) -> str:
