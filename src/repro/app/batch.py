@@ -94,22 +94,18 @@ def search_batch(
     the aggregated report.
 
     ``db`` may be an opened :class:`~repro.engine.DatabaseStore`: every
-    query of the campaign reads the same memmapped residues, and the
-    single-kernel engines (``batched``, ``striped``) reuse the group
-    plan stored at build time.  ``engine="hetero"`` does not: every
-    query re-tunes its split threshold and re-plans its groups from the
-    store's in-memory index lengths (counted as
-    ``engine.dbstore.geometry_replanned``, once per query).
+    query of the campaign reads the same memmapped residues, and
+    re-tunes its split and re-plans its groups for its own length from
+    the store's in-memory index.
 
     ``engine`` and ``workers`` select the functional score backend per
     :meth:`CudaSW.search` — the batched default reuses CUDASW++'s
     once-per-database preprocessing spirit by scoring whole packed
-    groups per NumPy sweep for every query of the campaign;
-    ``engine="striped"`` runs the same pipeline with the Farrar
-    striped lane kernel, ``engine="hetero"`` dispatches each packed
-    group to the bulk or long-tail strip engine by length threshold
-    (``split_threshold``: ``"auto"`` or an integer length, hetero
-    only).
+    groups per NumPy sweep for every query of the campaign, each
+    group's kernel picked for that query's length;
+    ``engine="striped"`` forces the Farrar striped kernel, and
+    ``engine="hetero"`` takes ``split_threshold`` (``"auto"`` or an
+    integer length).
 
     ``fault_policy`` is applied to every query's search (packed engines
     only, :data:`~repro.engine.PACKED_ENGINES`).  The policy's deadline

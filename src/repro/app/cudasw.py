@@ -307,8 +307,8 @@ class CudaSW:
         ``db`` is a materialized :class:`Database` or an opened
         :class:`~repro.engine.DatabaseStore` (``repro db build`` +
         :func:`~repro.engine.open_database`): the store path reads
-        residues through a validated memory map, reuses the group
-        geometry persisted at build time, and ships group references —
+        residues through a validated memory map, plans from the
+        store's in-memory length index, and ships group references —
         not pickled arrays — to pool workers.  Scores are bit-identical
         either way, on every engine.
 
@@ -318,14 +318,15 @@ class CudaSW:
             Functional score backend: ``"batched"`` (default) packs
             length-sorted groups and advances all lanes per NumPy step
             (:class:`~repro.engine.BatchedEngine`; packing accounting
-            lands in :attr:`last_engine_report`), ``"striped"`` the
-            same packed pipeline with the Farrar striped lane kernel
-            and saturating 8/16-bit score tiers
-            (:mod:`repro.engine.striped`), ``"hetero"`` the paper's
-            length-threshold split — sequences at or under the split
-            threshold sweep as striped bulk groups, longer ones as
-            bounded-padding strip groups
-            (:mod:`repro.engine.strips`) in the same search —
+            lands in :attr:`last_engine_report`): the long tail past
+            the split threshold sweeps as bounded-padding strip groups
+            (:mod:`repro.engine.strips`), and each bulk group with the
+            row or Farrar striped kernel the fitted cost model of
+            :mod:`repro.engine.kernels` picks for the query length.
+            ``"hetero"`` is the same engine and also takes
+            ``split_threshold``; ``"striped"`` sweeps every group with
+            the striped kernel and its saturating 8/16-bit score tiers
+            (:mod:`repro.engine.striped`);
             ``"antidiagonal"`` runs the per-pair wavefront aligner,
             ``"scalar"`` the textbook reference.  All engines are
             bit-identical, which tests verify; they differ only in
@@ -391,12 +392,11 @@ class CudaSW:
             when this search joins an outer session, which owns the
             session configuration).
         split_threshold:
-            Heterogeneous dispatch length threshold, ``engine="hetero"``
-            only: ``"auto"`` (the default for hetero; tuned per
-            database by :func:`repro.app.threshold.tune_split_threshold`
-            from the packed-group geometry) or an integer length
-            ``>= 0`` — sequences at or under it go to the striped bulk
-            engine, longer ones to the strip-sweep engine.
+            The length split, ``engine="hetero"`` only: ``"auto"`` (the
+            default; tuned per query by
+            :func:`repro.app.threshold.tune_split_threshold`) or an
+            integer length ``>= 0`` — longer sequences go to the
+            strip-sweep kernel, the rest to bulk groups.
 
         The engine settings are validated once, as a
         :class:`~repro.engine.SearchConfig`.
@@ -412,7 +412,7 @@ class CudaSW:
         self.last_run_report = None
         # A pre-packed store searches through its memmapped Database
         # view; the store handle rides along so the batched engines can
-        # reuse its geometry and ship group references to pool workers.
+        # plan from its index and ship group references to pool workers.
         store: DatabaseStore | None = None
         if isinstance(db, DatabaseStore):
             store = db

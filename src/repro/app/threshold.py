@@ -9,6 +9,10 @@ cost model in hand this is direct: sweep candidate thresholds, model the
 end-to-end time of each, pick the best.  The TAIR experiment of Section IV
 (threshold 3072 -> 1500 gains ~4 GCUPs with the improved kernel) is the
 validation case.
+
+The functional engine's split tuner, :func:`tune_split_threshold`, lives
+with the lane kernels' fitted cost model in :mod:`repro.engine.kernels`
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.app.cudasw import CudaSW
-from repro.engine.dbstore import DatabaseStore
-from repro.engine.kernels import LANE_KERNELS
-from repro.engine.pack import DEFAULT_STRIP_WIDTH, plan_chunks
+from repro.engine.kernels import _downsample, tune_split_threshold
 from repro.sequence.database import Database
 
 __all__ = [
@@ -40,17 +42,6 @@ class ThresholdPoint:
     gcups: float
     total_time: float
     intra_time_fraction: float
-
-
-def _downsample(values: np.ndarray, limit: int) -> np.ndarray:
-    """Evenly thin a sorted array to at most ``limit`` entries, always
-    keeping the first and last."""
-    if values.size <= limit:
-        return values
-    idx = np.unique(
-        np.linspace(0, values.size - 1, num=limit).astype(np.int64)
-    )
-    return values[idx]
 
 
 def _candidate_thresholds(
@@ -131,69 +122,3 @@ def optimal_threshold(
         app, query_length, db, lo=lo, hi=hi, max_candidates=max_candidates
     )
     return max(points, key=lambda p: p.gcups)
-
-
-def tune_split_threshold(
-    lengths: np.ndarray | DatabaseStore,
-    *,
-    group_size: int,
-    strip_width: int = DEFAULT_STRIP_WIDTH,
-    max_candidates: int = 64,
-) -> int:
-    """Pick the heterogeneous-dispatch length threshold for a database.
-
-    Models exactly the quantities the ``engine.pack.*`` counters report
-    for each candidate split: sequences at or under the threshold pack
-    into bulk groups via the same :func:`~repro.engine.pack.plan_chunks`
-    geometry the packer uses, each group priced by the ``striped``
-    kernel's :attr:`~repro.engine.kernels.LaneKernel.cost` —
-    ``max_len x (lanes + STRIPED_COLUMN_OVERHEAD)``, its padded
-    rectangle plus the striped sweep's fixed per-column iteration cost,
-    which is what sinks sparse long-tail groups; longer sequences are
-    priced by the ``strips`` kernel's cost, ``STRIP_CELL_COST`` per
-    strip-swept cell
-    (``ceil(len / strip_width) * strip_width`` each).  The pool
-    dispatcher orders its tasks with the same functions, so the split
-    model and the dispatch order cannot drift.  The candidate set
-    is the deduplicated sequence lengths plus 0 (all-strips) — every
-    distinct partition, nothing between two identical ones — and the
-    cheapest modeled split wins, preferring the larger threshold on
-    ties.  Pure geometry: no packing, no scoring, O(candidates x
-    groups).
-
-    ``lengths`` may be an opened
-    :class:`~repro.engine.dbstore.DatabaseStore`: the tuner then reads
-    the store's *index* lengths — small in-memory arrays loaded at open
-    — so auto-thresholding a memmapped multi-gigabyte database costs
-    O(index), never faulting the residue blob in.
-    """
-    if isinstance(lengths, DatabaseStore):
-        lengths = lengths.lengths
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.size == 0:
-        return 0
-    sorted_lengths = np.sort(lengths)
-    distinct = np.unique(sorted_lengths)
-    candidates = [0, *(int(t) for t in _downsample(distinct, max_candidates))]
-    bulk_cost = LANE_KERNELS["striped"].cost
-    tail_cost = LANE_KERNELS["strips"].cost
-    best_t = 0
-    best_cost: float | None = None
-    for t in candidates:
-        n_bulk = int(np.searchsorted(sorted_lengths, t, side="right"))
-        bulk = sorted_lengths[:n_bulk]
-        tail = sorted_lengths[n_bulk:]
-        cost = 0.0
-        # tail_floor=0.0 mirrors pack_database_hetero's bulk side: the
-        # striped bulk groups are never gap-split.
-        for start, end in plan_chunks(bulk, group_size, tail_floor=0.0).ranges:
-            cost += bulk_cost(bulk[start:end], None)
-        if tail.size:
-            # Strip cost is additive over sequences, so the whole tail
-            # prices as one lump whatever its group split.
-            cost += tail_cost(tail, strip_width)
-        if best_cost is None or cost < best_cost or (
-            cost == best_cost and t > best_t
-        ):
-            best_t, best_cost = t, cost
-    return best_t

@@ -139,21 +139,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SEARCH_ENGINES,
         default="batched",
         help="functional score backend (all bit-identical): 'batched' "
-        "scores whole length-sorted groups per NumPy sweep (default), "
-        "'striped' runs the same packed pipeline with the Farrar "
-        "striped lane kernel and saturating 8/16-bit score tiers, "
-        "'hetero' splits the database at a length threshold — short "
-        "sequences sweep as striped bulk groups, the long tail as "
-        "bounded-padding strip groups (fastest on ragged databases; "
-        "see --split-threshold), 'antidiagonal' is the per-pair "
-        "wavefront aligner, 'scalar' the slow textbook reference",
+        "(default) and its alias 'hetero' score whole length-sorted "
+        "groups per NumPy sweep, the long tail as bounded-padding strip "
+        "groups, each bulk group with the row (gotoh) or Farrar striped "
+        "kernel a fitted cost model picks for the query length; "
+        "'striped' sweeps every group with the striped kernel, "
+        "'antidiagonal' is the per-pair wavefront aligner, 'scalar' the "
+        "slow textbook reference",
     )
     p_search.add_argument(
         "--split-threshold", type=_threshold_arg, default=None,
         metavar="auto|N",
         help="hetero engine only: route sequences longer than N to the "
-        "strip engine ('auto', the hetero default, tunes N from the "
-        "database's packed-group geometry)",
+        "strip kernel ('auto', the default, tunes N per query with the "
+        "kernel cost model)",
     )
     p_search.add_argument(
         "--workers", type=int, default=1,
@@ -585,10 +584,13 @@ def _cmd_db(args, out: IO[str]) -> int:
     deep = bool(getattr(args, "deep", False))
     try:
         store = open_database(args.store, verify="deep" if deep else "fast")
+        if not isinstance(store, DatabaseStore):
+            raise DatabaseFormatError(
+                f"{args.store} did not open as a database store"
+            )
     except DatabaseFormatError as exc:
         print(f"error: {exc}", file=out)
         return 4
-    assert isinstance(store, DatabaseStore)
     if args.db_command == "verify":
         print(
             f"ok: {store.path} passed "

@@ -55,15 +55,20 @@ from repro.engine.faults import (
     InjectionPlan,
     SearchDeadlineExceeded,
 )
-from repro.engine.kernels import LANE_KERNELS, LaneKernel
+from repro.engine.kernels import (
+    LANE_KERNELS,
+    LaneKernel,
+    plan_groups,
+    tune_split_threshold,
+)
 from repro.engine.lanes import padded_lane_profile, score_packed_group
 from repro.engine.pack import (
     DEFAULT_STRIP_WIDTH,
     PackedGroup,
-    _record_pack_counters,
     pack_database,
     pack_database_hetero,
     pack_group,
+    pack_plan,
 )
 from repro.engine.striped import score_packed_group_striped
 from repro.engine.strips import score_packed_group_strips
@@ -155,8 +160,8 @@ class EngineReport:
     padded_cells: int
     #: The lane kernel each group was swept with (one entry per group).
     lane_engines: tuple[str, ...]
-    #: The length threshold a heterogeneous search dispatched on
-    #: (``None`` for single-kernel searches).
+    #: The length past which sequences went to strips groups
+    #: (``None`` for the single-kernel ``striped`` engine).
     split_threshold: int | None = None
 
     @property
@@ -183,15 +188,17 @@ class BatchedEngine:
     :class:`~repro.engine.config.SearchConfig`; its engine must be one
     of :data:`PACKED_ENGINES`:
 
-    * ``"batched"`` (the default) sweeps every group with the ``gotoh``
-      row kernel, ``"striped"`` with the Farrar ``striped`` kernel;
-    * ``"hetero"`` is the paper's length-threshold split: sequences at
-      or under ``config.split_threshold`` pack into ``striped`` bulk
-      groups, longer ones into ``strips`` groups, in one search.
+    * ``"batched"`` (the default) and ``"hetero"`` are one engine:
+      sequences past the split threshold pack into ``strips`` groups,
+      and each bulk group gets the kernel (``gotoh`` or ``striped``)
+      the fitted cost model of :mod:`repro.engine.kernels` prices
+      lowest at this query's length.  The same model tunes the
+      threshold per query unless ``hetero``'s ``split_threshold`` pins
+      it;
+    * ``"striped"`` sweeps every group with the ``striped`` kernel.
 
-    Every group is stamped with its kernel at pack time and swept
-    through :data:`LANE_KERNELS`.  Scores are bit-identical on every
-    engine; only throughput differs.
+    Scores are bit-identical on every engine and kernel; only
+    throughput differs.
 
     With ``workers > 1`` a search smaller than the fan-out floor still
     runs serially (counted as ``engine.executor.fanout_demotions``):
@@ -232,14 +239,10 @@ class BatchedEngine:
 
         ``db`` may be an opened
         :class:`~repro.engine.dbstore.DatabaseStore`: the search then
-        reads residues through the store's memmap, reuses the group
-        geometry persisted at ``repro db build`` time when it matches
-        this engine's ``group_size`` (re-planning — with the
-        ``engine.dbstore.geometry_replanned`` counter — when it
-        doesn't, or for heterogeneous dispatch, whose split depends on
-        the query-time threshold), ships group *references* to pool
-        workers instead of pickled lane matrices, and folds the store's
-        content fingerprint into the checkpoint
+        reads residues through the store's memmap, plans its groups
+        from the store's in-memory sort order and lengths, ships group
+        *references* to pool workers instead of pickled lane matrices,
+        and folds the store's content fingerprint into the checkpoint
         :func:`~repro.engine.checkpoint.search_fingerprint` so a
         journal refuses to resume against a rebuilt store.  Scores are
         bit-identical to the same database searched from FASTA.
@@ -275,63 +278,38 @@ class BatchedEngine:
             store = db
             db = store.database
         instr = obs_current()
-        # A single-kernel engine's kernel; hetero (None) stamps each
-        # group with its own kernel at pack time.
-        name = PACKED_ENGINES[cfg.engine]
-        kernel = None if name is None else LANE_KERNELS[name]
         with instr.span("profile_build"):
             q_codes = as_codes(query, self.matrix)
-            # Built once per search, in the kernel's flavour (the striped
-            # profile wraps the plain one as its exact-fallback tier).
-            # Hetero starts from the plain profile: the executor builds
-            # the striped flavour lazily iff bulk groups exist.
-            flavour = QueryProfile if kernel is None else kernel.profile
-            profile = flavour(q_codes, self.matrix)
-        threshold: int | None = None
+            # The executor builds the striped flavour lazily iff a group
+            # needs it.
+            profile = QueryProfile(q_codes, self.matrix)
         with instr.span("pack"):
-            if kernel is None:
-                threshold = self._resolve_threshold(db)
-                if store is not None:
-                    # The split depends on the query-time threshold, so
-                    # stored single-kernel geometry cannot be reused —
-                    # but the re-plan reads only the index lengths
-                    # (already in memory), never the residue memmap.
-                    instr.count("engine.dbstore.geometry_replanned", 1)
-                groups = pack_database_hetero(
-                    db, cfg.group_size, threshold, budget=cfg.memory_budget
+            # A store already holds the length sort and the lengths, in
+            # memory: planning never reads its residue memmap.
+            order = (
+                store.sort_order
+                if store is not None
+                else np.argsort(db.lengths, kind="stable")
+            )
+            sorted_lengths = db.lengths[order]
+            # The split: pinned, tuned for this query's length, or none
+            # for a single-kernel engine, which packs everything as bulk.
+            kernel = PACKED_ENGINES[cfg.engine]
+            threshold = cfg.split_threshold
+            if kernel is not None:
+                threshold = None
+            elif not isinstance(threshold, int):
+                threshold = tune_split_threshold(
+                    sorted_lengths, group_size=cfg.group_size,
+                    query_length=len(q_codes),
                 )
-                if instr.enabled:
-                    self._count_dispatch(instr, groups, threshold)
-            elif store is not None and store.group_size == cfg.group_size:
-                # Reuse the geometry planned once at build time: the
-                # stored ranges are exactly what plan_chunks would
-                # produce (deep verification proves it), with the
-                # search-time memory budget applied on top.
-                plan = store.plan_for(
-                    kernel.plan_kind, budget=cfg.memory_budget
-                )
-                groups = [
-                    pack_group(
-                        db, store.sort_order[start:end],
-                        lane_engine=kernel.name,
-                    )
-                    for start, end in plan.ranges
-                ]
-                instr.count("engine.dbstore.geometry_reused", 1)
-                if instr.enabled:
-                    _record_pack_counters(instr, len(db), groups, plan)
-            else:
-                if store is not None:
-                    # group_size differs from the store's build-time
-                    # geometry: plan from the index lengths instead.
-                    instr.count("engine.dbstore.geometry_replanned", 1)
-                groups = pack_database(
-                    db,
-                    cfg.group_size,
-                    budget=cfg.memory_budget,
-                    tail_floor=kernel.tail_floor,
-                    lane_engine=kernel.name,
-                )
+            plan, kernels = plan_groups(
+                sorted_lengths, len(q_codes), cfg.group_size, threshold,
+                kernel=kernel, budget=cfg.memory_budget,
+            )
+            groups = pack_plan(db, order, plan, kernels)
+            if instr.enabled and threshold is not None:
+                self._count_dispatch(instr, groups, threshold)
         workers = cfg.workers
         policy = cfg.fault_policy or DEFAULT_POLICY
         fanout_floor = (
@@ -446,20 +424,6 @@ class BatchedEngine:
             split_threshold=threshold,
         )
         return scores, report
-
-    def _resolve_threshold(self, db: Database) -> int:
-        """The heterogeneous split threshold for one database: the
-        configured length, or the cost model's pick for ``"auto"``."""
-        threshold = self.config.split_threshold
-        if isinstance(threshold, int):
-            return threshold
-        # Imported at call time: repro.app.threshold builds CudaSW apps
-        # for its sweep API, so a module-level import would be circular.
-        from repro.app.threshold import tune_split_threshold
-
-        return tune_split_threshold(
-            db.lengths, group_size=self.config.group_size
-        )
 
     def _count_dispatch(
         self,

@@ -31,10 +31,12 @@ DEFAULT_GROUP_SIZE = 128
 
 #: The packed engines, which sort the database into lane groups, and the
 #: lane kernel (:data:`~repro.engine.kernels.LANE_KERNELS`) each sweeps
-#: every group with.  ``hetero`` has none: it stamps each group
-#: ``striped`` or ``strips`` by the length split threshold.
+#: every group with.  ``batched`` and ``hetero`` are one engine with
+#: none: the cost model picks each group's kernel for the query length
+#: (:func:`~repro.engine.kernels.plan_groups`); only ``hetero`` takes a
+#: pinned ``split_threshold``.
 PACKED_ENGINES: dict[str, str | None] = {
-    "batched": "gotoh",
+    "batched": None,
     "striped": "striped",
     "hetero": None,
 }
@@ -59,7 +61,7 @@ class SearchConfig:
         Lanes per packed group.
     split_threshold:
         ``engine="hetero"`` only: ``"auto"`` (the default, tuned per
-        database by :func:`repro.app.threshold.tune_split_threshold`) or
+        query by :func:`~repro.engine.kernels.tune_split_threshold`) or
         a length ``>= 0``; longer sequences go to the strip kernel.
     memory_budget:
         Packed engines only: a

@@ -499,7 +499,8 @@ def open_database(
         raise ValueError(
             f"fallback must be None or 'fasta', got {fallback!r}"
         )
-    if fallback == "fasta" and fasta is None:
+    fallback_fasta = fasta if fallback == "fasta" else None
+    if fallback == "fasta" and fallback_fasta is None:
         raise ValueError("fallback='fasta' requires the fasta= path")
     instr = obs_current()
     started = time.perf_counter()
@@ -508,21 +509,20 @@ def open_database(
             store = _open_validated(Path(path), deep=(verify == "deep"))
     except DatabaseFormatError as exc:
         instr.count("engine.dbstore.refusals", 1)
-        if fallback == "fasta":
-            assert fasta is not None
-            instr.count("engine.dbstore.fallbacks", 1)
-            warnings.warn(
-                f"database store {os.fspath(path)} refused ({exc}); "
-                f"falling back to the in-memory FASTA pack path via "
-                f"{os.fspath(fasta)}",
-                UserWarning,
-                stacklevel=2,
-            )
-            return Database.from_stream(
-                iter_fasta_file(fasta),
-                name=Path(os.fspath(fasta)).stem,
-            )
-        raise
+        if fallback_fasta is None:
+            raise
+        instr.count("engine.dbstore.fallbacks", 1)
+        warnings.warn(
+            f"database store {os.fspath(path)} refused ({exc}); "
+            f"falling back to the in-memory FASTA pack path via "
+            f"{os.fspath(fallback_fasta)}",
+            UserWarning,
+            stacklevel=2,
+        )
+        return Database.from_stream(
+            iter_fasta_file(fallback_fasta),
+            name=Path(os.fspath(fallback_fasta)).stem,
+        )
     instr.count("engine.dbstore.opens", 1)
     if verify == "deep":
         instr.count("engine.dbstore.verify_deep", 1)

@@ -6,10 +6,10 @@ vectors back to database order.  The executor ships the query codes,
 matrix and penalties once per worker (pool initializer) and then streams
 *chunks* of groups as individually tracked futures; each task moves a
 few ``uint8`` lane matrices out and small score vectors back.  Groups
-are ordered by their modeled sweep cost (the lane kernel's
-:attr:`~repro.engine.kernels.LaneKernel.cost`) and chunks submitted
-heaviest-first, so a long-tail group that outweighs the bulk starts
-first instead of last.
+are ordered by their modeled sweep cost at the query's length (the
+lane kernel's :attr:`~repro.engine.kernels.LaneKernel.cost`) and
+chunks submitted heaviest-first, so a long-tail group that outweighs
+the bulk starts first instead of last.
 
 Unlike the original ``pool.map`` dispatch, every task is managed by a
 :class:`~repro.engine.faults.FaultPolicy`: tasks that run past the
@@ -238,8 +238,8 @@ def run_groups(
 
     Each group is swept by the lane kernel it was stamped with at pack
     time (:attr:`~repro.engine.pack.PackedGroup.lane_engine`, looked up
-    in :data:`~repro.engine.kernels.LANE_KERNELS`), which is how
-    heterogeneous dispatch mixes bulk and tail kernels in one search.
+    in :data:`~repro.engine.kernels.LANE_KERNELS`), which is how one
+    search mixes kernels.
     The profile flavour each kernel needs is built lazily from the
     passed profile's query codes and matrix.  Scores are bit-identical
     on every kernel, so checkpoints and fault handling stay
@@ -420,7 +420,8 @@ def _run_pool(
 
         chunk = policy.chunksize or auto_chunksize(len(pending), workers)
         tasks = _cut_tasks(
-            {gi: group_cost(groups[gi]) for gi in pending}, chunk
+            {gi: group_cost(groups[gi], profile.length) for gi in pending},
+            chunk,
         )
         attempts = dict.fromkeys(range(len(tasks)), 0)
         rng = random.Random(policy.seed)

@@ -1,22 +1,23 @@
-"""The lane-kernel table: one record per per-group score kernel.
+"""The lane-kernel table, and the cost model that picks a group's kernel.
 
 Every packed group is swept by exactly one lane kernel, named by the
 :attr:`~repro.engine.pack.PackedGroup.lane_engine` it is stamped with
 at pack time: ``gotoh`` (the row sweep of :mod:`repro.engine.lanes`),
 ``striped`` (the Farrar column sweep of :mod:`repro.engine.striped`) or
 ``strips`` (the long-tail strip sweep of :mod:`repro.engine.strips`).
-Everything that differs between the kernels — the query-profile
-flavour, the score function, how groups are packed, the memory one
-sweep needs, what a sweep costs and how a checkpoint fingerprints a
-group — lives in the kernel's :class:`LaneKernel` record, so the
-executor and :class:`~repro.engine.BatchedEngine` look the record up
-instead of branching on the name.
+Everything that differs between the kernels lives in the kernel's
+:class:`LaneKernel` record, so the executor and
+:class:`~repro.engine.BatchedEngine` look the record up instead of
+branching on the name.
 
-Each record's ``cost`` is the one sweep-cost model of the engine: the
-hetero split tuner (:func:`~repro.app.threshold.tune_split_threshold`)
-prices candidate splits with it and the pool dispatcher
-(:func:`~repro.engine.executor.run_groups`) orders its tasks by it,
-so the two cannot drift apart.
+Each record's ``cost`` is the engine's one sweep-cost model, in
+nanoseconds at query length ``m``, with fitted constants: the planner
+(:func:`plan_groups`) picks each bulk group's kernel with it, the split
+tuner (:func:`tune_split_threshold`) prices candidate splits with it
+and the pool dispatcher (:func:`~repro.engine.executor.run_groups`)
+orders its tasks by it.  This is the paper's Section VI proposal:
+describe each kernel by the lengths of a group, and dispatch where one
+starts to beat the other.
 """
 
 from __future__ import annotations
@@ -27,12 +28,18 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.alphabet import GapPenalty
-from repro.engine.budget import estimate_group_bytes, estimate_strip_group_bytes
+from repro.engine.budget import (
+    MemoryBudget,
+    estimate_group_bytes,
+    estimate_strip_group_bytes,
+)
+from repro.engine.dbstore import DatabaseStore
 from repro.engine.lanes import score_packed_group
 from repro.engine.pack import (
     DEFAULT_STRIP_WIDTH,
-    TAIL_EFFICIENCY_FLOOR,
+    ChunkPlan,
     PackedGroup,
+    plan_split,
     strip_cells,
 )
 from repro.engine.striped import score_packed_group_striped
@@ -41,30 +48,34 @@ from repro.sequence.profile import QueryProfile
 from repro.sequence.striped_profile import StripedProfile
 
 __all__ = [
+    "GOTOH_CELL_COST",
+    "GOTOH_ROW_OVERHEAD",
     "LANE_KERNELS",
+    "STRIPED_CELL_COST",
     "STRIPED_COLUMN_OVERHEAD",
     "STRIP_CELL_COST",
+    "STRIP_ROW_OVERHEAD",
     "LaneKernel",
     "group_cost",
+    "plan_groups",
+    "tune_split_threshold",
 ]
 
-#: Modeled cost of one strip-swept cell relative to one striped
-#: bulk-swept cell.  Calibrated against the bimodal throughput
-#: benchmark: the strip engine pays more vectorized ops per cell than
-#: the Farrar sweep (two prefix scans and the cross-strip carry per
-#: row), but amortizes its Python row loop over every tail sequence at
-#: once, so the measured per-cell ratio stays modest.
-STRIP_CELL_COST = 1.6
-
-#: Fixed overhead of one striped column iteration, in lane-equivalents.
-#: The Farrar sweep's Python loop advances one database column per
-#: iteration regardless of how many lanes the group holds, so a sparse
-#: long-tail group (few lanes, thousands of columns) pays the
-#: per-iteration interpreter/ufunc cost across very little useful work
-#: — the effect the bimodal benchmark shows as striped's collapse on
-#: the tail.  A full ``group_size``-lane bulk group amortizes the same
-#: overhead over every lane, which is why the bulk side stays cheap.
-STRIPED_COLUMN_OVERHEAD = 12.0
+# Fitted sweep costs, in nanoseconds: each kernel pays a cost per swept
+# cell plus a cost per iteration of its Python loop — ``m`` query rows
+# for gotoh and strips, ``max_len`` database columns for striped.  The
+# two terms were fitted by non-negative least squares on relative error
+# over 234 (group, m) pairs, each swept by every kernel, best of two:
+# every 128-lane group of the bench databases ``bulk_fasta``,
+# ``tail_store_fanned`` and ``cli_small``, plus their 1, 4, 12 and 32
+# longest sequences, at m = 40-800, on a 2-CPU x86-64 host (numpy 2.4);
+# ``tools/fit_kernel_costs.py`` repeats the fit.
+GOTOH_CELL_COST = 7.2  # per cell of the padded lanes x max_len rectangle
+GOTOH_ROW_OVERHEAD = 17_000.0
+STRIPED_CELL_COST = 4.8  # per cell of the lanes x m striped query block
+STRIPED_COLUMN_OVERHEAD = 43_000.0
+STRIP_CELL_COST = 7.0  # per strip-swept cell, ceil(len / W) * W a lane
+STRIP_ROW_OVERHEAD = 28_000.0
 
 
 @dataclass(frozen=True)
@@ -81,21 +92,13 @@ class LaneKernel:
     score:
         ``score(profile, group, gaps)``: the group's ``int64`` lane
         scores, bit-identical to :func:`~repro.sw.scalar.sw_score_scalar`.
-    plan_kind:
-        Which stored ``.rdb`` geometry the kernel's groups reuse
-        (:meth:`~repro.engine.dbstore.DatabaseStore.plan_for`).
-    tail_floor:
-        Gap-split efficiency floor the kernel's groups are packed with
-        (:func:`~repro.engine.pack.plan_chunks`).  A row sweep costs
-        one step per padded cell, so splitting a degenerate tail group
-        pays; a column sweep costs one step per database column, which
-        a split only multiplies.
     working_set:
         Estimated peak bytes of sweeping one group.
     cost:
-        ``cost(lengths, strip_width)``: the modeled sweep cost of one
-        group with these member lengths, in striped-cell units (only
-        ``strips`` reads the strip width; ``None`` is the default).
+        ``cost(lengths, m, strip_width)``: the modeled time, in ns, of
+        sweeping one group with these member lengths against an
+        ``m``-residue query (only ``strips`` reads the strip width;
+        ``None`` is the default).
     token:
         The group's checkpoint fingerprint token.
     """
@@ -103,10 +106,8 @@ class LaneKernel:
     name: str
     profile: type[QueryProfile] | type[StripedProfile]
     score: Callable[[Any, PackedGroup, GapPenalty], np.ndarray]
-    plan_kind: str
-    tail_floor: float
     working_set: Callable[[PackedGroup], int]
-    cost: Callable[[np.ndarray, int | None], float]
+    cost: Callable[[np.ndarray, int, int | None], float]
     token: Callable[[PackedGroup], str]
 
 
@@ -120,29 +121,30 @@ def _strip_bytes(group: PackedGroup) -> int:
     return estimate_strip_group_bytes(group.sweep_cells)
 
 
-def _rectangle_cost(
-    lengths: np.ndarray, strip_width: int | None = None
+def _row_cost(
+    lengths: np.ndarray, m: int, strip_width: int | None = None
 ) -> float:
-    """A row sweep steps through every cell of the padded
-    ``lanes x max_len`` rectangle."""
-    return float(lengths.size * int(lengths.max()))
+    """A row sweep runs ``m`` iterations over the padded rectangle."""
+    cells = lengths.size * int(lengths.max())
+    return m * (GOTOH_CELL_COST * cells + GOTOH_ROW_OVERHEAD)
 
 
 def _column_cost(
-    lengths: np.ndarray, strip_width: int | None = None
+    lengths: np.ndarray, m: int, strip_width: int | None = None
 ) -> float:
     """A column sweep runs one iteration per database column, each
-    costing the group's lanes plus the fixed per-iteration overhead."""
-    return float(int(lengths.max())) * (
-        lengths.size + STRIPED_COLUMN_OVERHEAD
+    over every lane's striped query (Snytsar's per-column cost)."""
+    return int(lengths.max()) * (
+        STRIPED_CELL_COST * lengths.size * m + STRIPED_COLUMN_OVERHEAD
     )
 
 
 def _strip_cost(
-    lengths: np.ndarray, strip_width: int | None = None
+    lengths: np.ndarray, m: int, strip_width: int | None = None
 ) -> float:
-    """A strip sweep costs ``STRIP_CELL_COST`` per strip-swept cell."""
-    return float(strip_cells(lengths, strip_width)) * STRIP_CELL_COST
+    """A strip sweep runs ``m`` iterations over the strip tiling."""
+    cells = strip_cells(lengths, strip_width)
+    return m * (STRIP_CELL_COST * cells + STRIP_ROW_OVERHEAD)
 
 
 def _strips_token(group: PackedGroup) -> str:
@@ -157,24 +159,116 @@ LANE_KERNELS: dict[str, LaneKernel] = {
     for kernel in (
         LaneKernel(
             "gotoh", QueryProfile, score_packed_group,
-            "row", TAIL_EFFICIENCY_FLOOR, _rectangle_bytes,
-            _rectangle_cost, lambda group: "gotoh",
+            _rectangle_bytes, _row_cost, lambda group: "gotoh",
         ),
         LaneKernel(
             "striped", StripedProfile, score_packed_group_striped,
-            "column", 0.0, _rectangle_bytes,
-            _column_cost, lambda group: "striped",
+            _rectangle_bytes, _column_cost, lambda group: "striped",
         ),
         LaneKernel(
             "strips", QueryProfile, score_packed_group_strips,
-            "column", 0.0, _strip_bytes, _strip_cost, _strips_token,
+            _strip_bytes, _strip_cost, _strips_token,
         ),
     )
 }
 
 
-def group_cost(group: PackedGroup) -> float:
-    """The modeled sweep cost of one packed group under its kernel."""
+def group_cost(group: PackedGroup, m: int) -> float:
+    """The modeled sweep time of one packed group under its kernel,
+    against an ``m``-residue query."""
     return LANE_KERNELS[group.lane_engine].cost(
-        group.lengths, group.strip_width
+        group.lengths, m, group.strip_width
     )
+
+
+def _cheapest_bulk_kernel(lengths: np.ndarray, m: int) -> str:
+    """The bulk kernel — ``gotoh`` or ``striped``, the two that sweep
+    the packed rectangle — the cost model prices lowest for one group
+    at query length ``m`` (ties go to ``gotoh``)."""
+    return min(
+        ("gotoh", "striped"),
+        key=lambda name: LANE_KERNELS[name].cost(lengths, m, None),
+    )
+
+
+def _downsample(values: np.ndarray, limit: int) -> np.ndarray:
+    """Evenly thin a sorted array to at most ``limit`` entries, always
+    keeping the first and last."""
+    if values.size <= limit:
+        return values
+    idx = np.unique(
+        np.linspace(0, values.size - 1, num=limit).astype(np.int64)
+    )
+    return values[idx]
+
+
+def tune_split_threshold(
+    lengths: np.ndarray | DatabaseStore,
+    *,
+    group_size: int,
+    query_length: int | None = None,
+    strip_width: int = DEFAULT_STRIP_WIDTH,
+    max_candidates: int = 64,
+) -> int:
+    """Pick the length past which sequences go to strips groups.
+
+    Prices the :func:`plan_groups` plan of every candidate threshold
+    with the kernel table's ``cost`` at the query length, and keeps the
+    cheapest (the larger threshold on ties).  The candidates are 0 (all
+    strips) and the distinct sequence lengths — every distinct
+    partition, nothing between two identical ones — thinned to
+    ``max_candidates``.  Pure geometry: no packing, no scoring.
+
+    ``query_length`` defaults to the median database length, a query
+    drawn from the database itself.  ``lengths`` may be an opened
+    :class:`~repro.engine.dbstore.DatabaseStore`, whose in-memory
+    index lengths are read — never the residue blob.
+    """
+    if isinstance(lengths, DatabaseStore):
+        lengths = lengths.lengths
+    sorted_lengths = np.sort(np.asarray(lengths, dtype=np.int64))
+    if sorted_lengths.size == 0:
+        return 0
+    m = query_length or int(np.median(sorted_lengths))
+
+    def cost(threshold: int) -> float:
+        plan, kernels = plan_groups(
+            sorted_lengths, m, group_size, threshold
+        )
+        return sum(
+            LANE_KERNELS[kernel].cost(
+                sorted_lengths[start:end], m, strip_width
+            )
+            for (start, end), kernel in zip(plan.ranges, kernels)
+        )
+
+    distinct = _downsample(np.unique(sorted_lengths), max_candidates)
+    return min([0, *map(int, distinct)], key=lambda t: (cost(t), -t))
+
+
+def plan_groups(
+    sorted_lengths: np.ndarray,
+    m: int,
+    group_size: int,
+    threshold: int | None,
+    *,
+    kernel: str | None = None,
+    budget: MemoryBudget | None = None,
+) -> tuple[ChunkPlan, list[str]]:
+    """Group ranges over the length-sorted database, and each one's kernel.
+
+    The :func:`~repro.engine.pack.plan_split` geometry: tail chunks are
+    ``strips``; each bulk chunk is ``kernel`` if given, else the bulk
+    kernel the cost model prices lowest at ``m``.  Scores never depend
+    on the choice, only the sweep time does.
+    """
+    plan, n_bulk = plan_split(
+        sorted_lengths, group_size, threshold, budget=budget
+    )
+    kernels = [
+        "strips"
+        if start >= n_bulk
+        else (kernel or _cheapest_bulk_kernel(sorted_lengths[start:end], m))
+        for start, end in plan.ranges
+    ]
+    return plan, kernels

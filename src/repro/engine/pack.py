@@ -22,9 +22,10 @@ Two things the length sort alone cannot fix live here too:
   that last chunk at its largest length gaps whenever efficiency would
   fall under :data:`TAIL_EFFICIENCY_FLOOR`;
 * the **long tail itself** — past a length threshold no grouping packs
-  well, which is why :func:`pack_database_hetero` routes those
-  sequences to the strip-sweep engine (each :class:`PackedGroup`
-  carries its ``lane_engine``, making the engine a per-group decision).
+  well, which is why :func:`plan_split` cuts those sequences into
+  groups of their own for the strip-sweep kernel (each
+  :class:`PackedGroup` carries its ``lane_engine``, making the kernel a
+  per-group decision).
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ __all__ = [
     "pack_group",
     "pack_database",
     "pack_database_hetero",
+    "pack_plan",
     "plan_chunks",
+    "plan_split",
     "strip_cells",
 ]
 
@@ -334,52 +337,87 @@ def _record_pack_counters(
         instr.observe("engine.pack.group_efficiency", g.sweep_efficiency)
 
 
-def pack_database(
-    db: Database,
+def plan_split(
+    sorted_lengths: np.ndarray,
     group_size: int,
+    threshold: int | None,
     *,
     budget: MemoryBudget | None = None,
-    tail_floor: float = TAIL_EFFICIENCY_FLOOR,
-    lane_engine: str = "gotoh",
-) -> list[PackedGroup]:
-    """Sort ``db`` by length and pack it into groups of ``group_size``.
+) -> tuple[ChunkPlan, int]:
+    """Plan the length split over an ascending-sorted length array.
 
-    Mirrors CUDASW++'s preprocessing pipeline
-    (:meth:`Database.sorted_by_length` then
-    :meth:`Database.partition_groups`): a stable ascending length sort
-    keeps each group's lengths nearly uniform, so the padded rectangles
-    stay tight.  The last group may be smaller.  Group ``indices`` refer
-    to the *original* (unsorted) database order.
-
-    ``budget`` (a :class:`~repro.engine.budget.MemoryBudget`) caps any
-    single group's estimated sweep working set: a chunk whose padded
-    rectangle would exceed it is split into narrower groups that each
-    fit, instead of letting the sweep's allocation OOM-kill the
-    process.  Splitting — by budget or by the tail-degeneracy floor —
-    only changes fan-out geometry, never scores.
-
-    ``tail_floor`` is the gap-split efficiency floor (see
-    :func:`plan_chunks`).  Row-sweep engines want the default — their
-    cost scales with padded cells — while column-sweep (striped)
-    callers pass ``0.0``: a gap split there trades padding for extra
-    near-empty column iterations, the overhead the split exists to
-    avoid.  ``lane_engine`` stamps every group with the kernel that
-    will sweep it; the kernel's record in
-    :data:`~repro.engine.kernels.LANE_KERNELS` holds its floor.
+    Sequences at or under ``threshold`` (the bulk) and the longer ones
+    (the tail) are each cut into ``group_size`` chunks, then
+    ``budget``-split; no gap split, since the tail itself holds the
+    degenerate lengths.  ``threshold <= 0`` makes everything tail,
+    ``None`` or ``threshold >= max length`` everything bulk.  Returns
+    the plan, in sorted-order ranges, and the bulk count: ranges from
+    it on are tail.
     """
-    db._require_residues()
-    order = np.argsort(db.lengths, kind="stable")
-    plan = plan_chunks(
-        db.lengths[order], group_size, budget=budget, tail_floor=tail_floor
+    n_bulk = (
+        sorted_lengths.size
+        if threshold is None
+        else int(np.searchsorted(sorted_lengths, threshold, side="right"))
     )
+    bulk, tail = (
+        plan_chunks(part, group_size, budget=budget, tail_floor=0.0)
+        for part in (sorted_lengths[:n_bulk], sorted_lengths[n_bulk:])
+    )
+    plan = ChunkPlan(
+        bulk.ranges + [(s + n_bulk, e + n_bulk) for s, e in tail.ranges],
+        0,
+        bulk.budget_splits + tail.budget_splits,
+        bulk.budget_extra_groups + tail.budget_extra_groups,
+    )
+    return plan, n_bulk
+
+
+def pack_plan(
+    db: Database,
+    order: np.ndarray,
+    plan: ChunkPlan,
+    kernels: list[str],
+    *,
+    strip_width: int | None = None,
+) -> list[PackedGroup]:
+    """Pack each planned range of the sorted ``order`` as one group,
+    stamped with its kernel (``strip_width`` goes on strips groups), and
+    charge the ``engine.pack.*`` counters."""
     groups = [
-        pack_group(db, order[start:end], lane_engine=lane_engine)
-        for start, end in plan.ranges
+        pack_group(
+            db, order[start:end], lane_engine=kernel,
+            strip_width=strip_width if kernel == "strips" else None,
+        )
+        for (start, end), kernel in zip(plan.ranges, kernels)
     ]
     instr = obs_current()
     if instr.enabled:
         _record_pack_counters(instr, len(db), groups, plan)
     return groups
+
+
+def pack_database(
+    db: Database,
+    group_size: int,
+    *,
+    budget: MemoryBudget | None = None,
+) -> list[PackedGroup]:
+    """Sort ``db`` by length and pack it into ``gotoh`` groups of
+    ``group_size``, the tail gap-split below :data:`TAIL_EFFICIENCY_FLOOR`
+    and oversized chunks split to fit the ``budget`` (see
+    :func:`plan_chunks`).
+
+    Mirrors CUDASW++'s preprocessing pipeline
+    (:meth:`Database.sorted_by_length` then
+    :meth:`Database.partition_groups`): a stable ascending length sort
+    keeps each group's lengths nearly uniform, so the padded rectangles
+    stay tight.  Group ``indices`` refer to the *original* (unsorted)
+    database order.  Splitting only changes geometry, never scores.
+    """
+    db._require_residues()
+    order = np.argsort(db.lengths, kind="stable")
+    plan = plan_chunks(db.lengths[order], group_size, budget=budget)
+    return pack_plan(db, order, plan, ["gotoh"] * len(plan.ranges))
 
 
 def pack_database_hetero(
@@ -390,55 +428,17 @@ def pack_database_hetero(
     budget: MemoryBudget | None = None,
     strip_width: int | None = None,
 ) -> list[PackedGroup]:
-    """Length-threshold heterogeneous packing (the paper's core split).
-
-    Sequences of length ``<= threshold`` pack into ``striped`` groups
-    exactly as :func:`pack_database` would (inter-task side);
-    longer sequences pack into ``"strips"`` groups for the strip-sweep
-    engine (intra-task side), where padding stays bounded per sequence
-    instead of scaling with group raggedness.  Group ``indices`` refer
-    to the original database order, so mixed-engine scores scatter back
-    identically.  ``threshold <= 0`` routes everything to strips;
-    ``threshold >= max length`` routes everything to the bulk engine.
+    """The length split of :func:`plan_split` with every bulk group
+    ``striped`` and every tail group ``strips``.  The search engine
+    plans the same geometry but picks each bulk group's kernel for the
+    query (:func:`~repro.engine.kernels.plan_groups`).
     """
     db._require_residues()
     order = np.argsort(db.lengths, kind="stable")
-    sorted_lengths = db.lengths[order]
-    n_bulk = int(np.searchsorted(sorted_lengths, threshold, side="right"))
-    groups: list[PackedGroup] = []
-    # Bulk groups are striped-swept (column loop): a gap split would
-    # trade padded cells for extra column iterations, so keep them
-    # whole — the genuinely degenerate lengths are past the threshold
-    # and tiled into strips anyway.
-    bulk_plan = plan_chunks(
-        sorted_lengths[:n_bulk], group_size, budget=budget, tail_floor=0.0
+    plan, n_bulk = plan_split(
+        db.lengths[order], group_size, threshold, budget=budget
     )
-    for start, end in bulk_plan.ranges:
-        groups.append(
-            pack_group(db, order[start:end], lane_engine="striped")
-        )
-    tail_order = order[n_bulk:]
-    # Strip groups don't pack a rectangle, so the rectangle-efficiency
-    # tail floor would split them for no gain: disable it there.
-    tail_plan = plan_chunks(
-        sorted_lengths[n_bulk:], group_size, budget=budget, tail_floor=0.0
-    )
-    for start, end in tail_plan.ranges:
-        groups.append(
-            pack_group(
-                db,
-                tail_order[start:end],
-                lane_engine="strips",
-                strip_width=strip_width,
-            )
-        )
-    plan = ChunkPlan(
-        bulk_plan.ranges + tail_plan.ranges,
-        bulk_plan.tail_splits + tail_plan.tail_splits,
-        bulk_plan.budget_splits + tail_plan.budget_splits,
-        bulk_plan.budget_extra_groups + tail_plan.budget_extra_groups,
-    )
-    instr = obs_current()
-    if instr.enabled:
-        _record_pack_counters(instr, len(db), groups, plan)
-    return groups
+    kernels = [
+        "striped" if start < n_bulk else "strips" for start, _ in plan.ranges
+    ]
+    return pack_plan(db, order, plan, kernels, strip_width=strip_width)

@@ -69,9 +69,8 @@ def read_fasta(
     header: str | None = None
     chunks: list[str] = []
 
-    def flush() -> Sequence | None:
+    def flush(header: str) -> Sequence | None:
         text = "".join(chunks)
-        assert header is not None
         parts = header.split(None, 1)
         seq_id = parts[0] if parts else ""
         description = parts[1] if len(parts) > 1 else ""
@@ -93,7 +92,7 @@ def read_fasta(
             continue
         if line.startswith(">"):
             if header is not None:
-                record = flush()
+                record = flush(header)
                 if record is not None:
                     yield record
             header = line[1:].strip()
@@ -103,7 +102,7 @@ def read_fasta(
                 raise ValueError("FASTA data does not start with a '>' header")
             chunks.append(line)
     if header is not None:
-        record = flush()
+        record = flush(header)
         if record is not None:
             yield record
 

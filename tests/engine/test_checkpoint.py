@@ -15,16 +15,18 @@ import pytest
 from repro import obs
 from repro.alphabet import BLOSUM62, GapPenalty
 from repro.engine import (
+    DEFAULT_GROUP_SIZE,
     BatchedEngine,
     CheckpointError,
     CheckpointJournal,
     SearchConfig,
     atomic_write_text,
     pack_database,
+    score_packed_group,
     search_fingerprint,
 )
 from repro.engine.checkpoint import MAGIC, group_content_hash
-from repro.sequence import Database, Sequence, random_protein
+from repro.sequence import Database, QueryProfile, Sequence, random_protein
 
 GP = GapPenalty.cudasw_default()
 
@@ -215,6 +217,36 @@ class TestRefusal:
                                                   dtype=np.int64))
         with pytest.raises(CheckpointError, match="content hash"):
             CheckpointJournal.resume(path, fp, groups)
+
+    def test_old_all_gotoh_batched_journal_refused(self, tmp_path):
+        """A journal written when ``batched`` swept every group with the
+        gotoh row kernel (gap-split tail included) is refused under the
+        cost-model default, never resumed with different kernels."""
+        rng = np.random.default_rng(33)
+        lengths = [*rng.integers(20, 200, size=14), 1_500, 1_800]
+        mixed = Database.from_sequences(
+            [Sequence.random(f"t{i}", int(n), rng)
+             for i, n in enumerate(lengths)]
+        )
+        query = random_protein(60, rng, id="q")
+        old_groups = pack_database(mixed, DEFAULT_GROUP_SIZE)
+        fp = search_fingerprint(
+            np.asarray(query.codes), BLOSUM62, GP, DEFAULT_GROUP_SIZE,
+            mixed, engines=("gotoh",) * len(old_groups),
+        )
+        profile = QueryProfile(query.codes, BLOSUM62)
+        path = tmp_path / "old-default.wal"
+        with CheckpointJournal.create(path, fp, len(old_groups)) as journal:
+            for gi, group in enumerate(old_groups):
+                journal.append(
+                    gi, group, score_packed_group(profile, group, GP)
+                )
+        engine = BatchedEngine(BLOSUM62, GP)
+        _, report = engine.search(query, mixed)
+        # The premise: the default now sends the long pair to strips.
+        assert set(report.lane_engines) == {"gotoh", "strips"}
+        with pytest.raises(CheckpointError, match="different search"):
+            engine.search(query, mixed, checkpoint=path, resume=True)
 
     def test_resume_requires_checkpoint_path(self, db, query):
         with pytest.raises(ValueError, match="checkpoint"):

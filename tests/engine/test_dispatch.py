@@ -23,12 +23,13 @@ from repro.engine import (
     build_store,
     open_database,
     pack_database_hetero,
+    pack_plan,
     run_groups,
 )
 from repro.engine import executor
 from repro.engine.executor import _cut_tasks
 from repro.engine.faults import auto_chunksize
-from repro.engine.kernels import group_cost
+from repro.engine.kernels import group_cost, plan_groups
 from repro.sequence import Database, QueryProfile, Sequence, random_protein
 
 GP = GapPenalty.cudasw_default()
@@ -147,7 +148,12 @@ def inline_pool(monkeypatch):
 
 class TestHeaviestFirst:
     def test_tail_group_is_submitted_first(self, corpus, inline_pool):
-        groups = pack_database_hetero(corpus["db"], 4, 300)
+        db, m = corpus["db"], len(corpus["query"])
+        # The engine's own plan: bulk groups at their cheapest kernel.
+        order = np.argsort(db.lengths, kind="stable")
+        groups = pack_plan(
+            db, order, *plan_groups(db.lengths[order], m, 4, 300)
+        )
         # Pack order is shortest-first: the strips tail comes last.
         assert groups[-1].lane_engine == "strips"
         profile = QueryProfile(corpus["query"].codes, BLOSUM62)
@@ -157,7 +163,9 @@ class TestHeaviestFirst:
         )
         submitted = [gis for gis, _ in inline_pool.last.submitted]
         assert submitted[0] == [len(groups) - 1]
-        costs = [sum(group_cost(groups[gi]) for gi in gis) for gis in submitted]
+        costs = [
+            sum(group_cost(groups[gi], m) for gi in gis) for gis in submitted
+        ]
         assert costs == sorted(costs, reverse=True)
         serial = run_groups(profile, groups, GP, workers=1)
         for a, b in zip(pooled, serial):
@@ -230,7 +238,7 @@ class TestPooledHeteroStore:
         serial, _, _ = search(1)
         pooled, report, c = search(2, checkpoint=journal)
         assert np.array_equal(pooled, serial)
-        assert set(report.lane_engines) == {"striped", "strips"}
+        assert set(report.lane_engines) == {"gotoh", "strips"}
         assert c["engine.executor.pool_completed_groups"] == report.n_groups
         assert c["engine.dbstore.pool_group_refs"] == report.n_groups
         assert c["engine.checkpoint.groups_recomputed"] == report.n_groups

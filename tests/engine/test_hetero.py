@@ -1,12 +1,14 @@
 """Heterogeneous length-threshold dispatch.
 
 ``SearchConfig(engine="hetero")`` splits the packed database at a length
-threshold — bulk groups go to the striped Farrar engine, the long tail
-to the strip-sweep engine — and must stay *bit-identical* to the scalar
-reference at every threshold, under a worker pool, and across a real
-SIGKILL-and-resume.  The checkpoint fingerprint must refuse a hetero
-journal replayed under a different split (the per-group engine
-assignment is part of the search identity).
+threshold — bulk groups go to the gotoh or striped kernel the cost model
+picks for the query length, the long tail to the strip-sweep kernel —
+and must stay *bit-identical* to the scalar reference at every
+threshold, under a worker pool, and across a real SIGKILL-and-resume.
+The checkpoint fingerprint must refuse a hetero journal replayed under
+a different split (the per-group kernel assignment is part of the
+search identity).  The cost model's picks are pinned on the bench
+shapes.
 """
 
 import os
@@ -15,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.engine import (
     run_groups,
     search_fingerprint,
 )
+from repro.engine.kernels import plan_groups
 from repro.sequence.profile import QueryProfile
 from repro.sequence import (
     SWISSPROT_PROFILE,
@@ -91,18 +95,22 @@ class TestHeteroEquivalence:
             assert np.array_equal(scores, corpus["reference"]), t
             assert report.split_threshold == t
 
-    def test_auto_threshold_bit_identical_and_mixed(self, corpus):
+    def test_auto_threshold_is_the_tuned_split(self, corpus):
         engine = BatchedEngine(
             BLOSUM62, GP,
             SearchConfig(group_size=8, engine="hetero", split_threshold="auto"),
         )
         scores, report = engine.search(corpus["query"], corpus["db"])
         assert np.array_equal(scores, corpus["reference"])
-        # The bimodal corpus must actually split: both engines ran.
-        assert set(report.lane_engines) == {"striped", "strips"}
         lengths = corpus["db"].lengths
-        assert int(lengths.min()) <= report.split_threshold
-        assert report.split_threshold < int(lengths.max())
+        assert report.split_threshold == tune_split_threshold(
+            lengths, group_size=8, query_length=len(corpus["query"])
+        )
+        # At 40 aa the row sweep beats the strip sweep even on the three
+        # 1,200-1,500 aa subjects, so the tuned split keeps every group
+        # in the bulk, swept by gotoh.
+        assert report.split_threshold == int(lengths.max())
+        assert set(report.lane_engines) == {"gotoh"}
 
     def test_strip_width_variants_bit_identical(self, corpus):
         db = corpus["db"]
@@ -287,7 +295,7 @@ class TestHeteroSigkillResume:
                 checkpoint=journal, resume=True,
             )
         assert np.array_equal(scores, corpus["reference"])
-        assert set(report.lane_engines) == {"striped", "strips"}
+        assert set(report.lane_engines) == {"gotoh", "strips"}
         c = instr.counters.as_dict()
         replayed = c.get("engine.checkpoint.groups_replayed", 0)
         recomputed = c.get("engine.checkpoint.groups_recomputed", 0)
@@ -298,13 +306,17 @@ class TestHeteroSigkillResume:
 
 def _tuned(lengths, group_size, **constants):
     """``tune_split_threshold`` with the kernel table's cost constants
-    (``STRIP_CELL_COST``, ``STRIPED_COLUMN_OVERHEAD``) patched."""
+    (``STRIP_CELL_COST``, ``STRIPED_COLUMN_OVERHEAD``, ...) patched."""
     from repro.engine import kernels
 
     with pytest.MonkeyPatch.context() as mp:
         for name, value in constants.items():
             mp.setattr(kernels, name, value)
         return tune_split_threshold(lengths, group_size=group_size)
+
+
+#: Strips priced near-free: no per-cell cost and no per-row cost.
+FREE_STRIPS = {"STRIP_CELL_COST": 0.01, "STRIP_ROW_OVERHEAD": 0.0}
 
 
 class TestCostModelKnobs:
@@ -318,22 +330,26 @@ class TestCostModelKnobs:
         # Strips priced near-free: everything should route to the strip
         # engine (threshold collapses); priced exorbitantly: the split
         # point must move the other way from the cheap setting.
-        cheap = self.resolved(corpus, STRIP_CELL_COST=0.01)
+        cheap = self.resolved(corpus, **FREE_STRIPS)
         costly = self.resolved(corpus, STRIP_CELL_COST=50.0)
+        assert cheap == 0
         assert cheap != costly
         assert default != cheap or default != costly
 
     def test_column_overhead_moves_the_threshold(self, corpus):
-        # A huge fixed per-column striped overhead makes striped bulk
-        # groups unattractive relative to strips.
+        # Huge fixed per-iteration overheads on both bulk kernels (the
+        # striped column loop, the gotoh row loop) make every bulk group
+        # unattractive relative to strips.
         assert (
-            self.resolved(corpus, STRIPED_COLUMN_OVERHEAD=1e6)
+            self.resolved(
+                corpus, STRIPED_COLUMN_OVERHEAD=1e9, GOTOH_ROW_OVERHEAD=1e9
+            )
             != self.resolved(corpus)
         )
 
     def test_scores_bit_identical_across_cost_settings(self, corpus):
-        for constants in ({}, {"STRIP_CELL_COST": 0.01},
-                          {"STRIPED_COLUMN_OVERHEAD": 1e6}):
+        for constants in ({}, FREE_STRIPS,
+                          {"STRIPED_COLUMN_OVERHEAD": 1e9}):
             engine = BatchedEngine(
                 BLOSUM62, GP,
                 SearchConfig(
@@ -363,72 +379,128 @@ class TestCostModelKnobs:
             )
 
 
-class TestKernelCostModel:
-    """The split tuner and the pool dispatcher price groups with the
-    same per-kernel ``cost`` functions from the kernel table."""
+def _swissprot_lengths(n, tail, seed):
+    """The repo benchmark's database shape: stratified Swiss-Prot
+    lengths plus an evenly spaced 3,600-4,140 aa tail."""
+    rng = np.random.default_rng(seed)
+    body = SWISSPROT_PROFILE.build(
+        rng, scale=n / SWISSPROT_PROFILE.n_sequences
+    )
+    tail_lengths = np.linspace(3_600, 4_140, tail, endpoint=False)
+    return np.concatenate([body.lengths, tail_lengths.astype(int)])
 
-    def _swissprot_lengths(self, n, tail, seed):
-        # The repo benchmark's database shape: stratified Swiss-Prot
-        # lengths plus an evenly spaced 3,600-4,140 aa tail.
-        rng = np.random.default_rng(seed)
-        body = SWISSPROT_PROFILE.build(
-            rng, scale=n / SWISSPROT_PROFILE.n_sequences
-        )
-        tail_lengths = np.linspace(3_600, 4_140, tail, endpoint=False)
-        return np.concatenate([body.lengths, tail_lengths.astype(int)])
+
+def _plan(lengths, m, group_size=128):
+    """The engine's plan at query length ``m``: the tuned split, then
+    each group's kernel."""
+    lengths = np.sort(lengths)
+    threshold = tune_split_threshold(
+        lengths, group_size=group_size, query_length=m
+    )
+    plan, kernels = plan_groups(lengths, m, group_size, threshold)
+    return lengths, plan, kernels
+
+
+class TestKernelCostModel:
+    """The planner, the split tuner and the pool dispatcher price groups
+    with the same per-kernel ``cost`` functions from the kernel table,
+    at the query's length."""
 
     @pytest.mark.parametrize(
-        "n, tail, group_size, expected",
+        "n, tail, group_size, m, expected",
         [
-            (500, 12, 128, 795),
-            (500, 12, 64, 1081),
-            (500, 12, 8, 370),
-            (60, 2, 128, 313),
-            (1_000, 0, 128, 1141),
-            (200, 0, 128, 687),
+            (500, 12, 128, 350, 795),
+            (500, 12, 64, 350, 868),
+            (500, 12, 8, 350, 1737),
+            (500, 12, 128, 60, 694),
+            (60, 2, 128, 40, 257),
+            (1_000, 0, 128, 300, 836),
+            (200, 0, 128, 100, 263),
         ],
     )
     def test_tuner_picks_pinned_for_bench_shapes(
-        self, n, tail, group_size, expected
+        self, n, tail, group_size, m, expected
     ):
         for seed in (1, 2):
-            lengths = self._swissprot_lengths(n, tail, seed)
-            assert (
-                tune_split_threshold(lengths, group_size=group_size)
-                == expected
-            )
+            lengths = _swissprot_lengths(n, tail, seed)
+            assert tune_split_threshold(
+                lengths, group_size=group_size, query_length=m
+            ) == expected
+
+    @pytest.mark.parametrize(
+        "n, tail, m, expected",
+        [
+            # A striped bulk plus a strips tail.
+            pytest.param(
+                1_000, 0, 300, ["striped"] * 7 + ["gotoh", "strips"],
+                id="bulk_fasta-300",
+            ),
+            # A gotoh bulk at cli_small's query and at 60 aa.
+            pytest.param(
+                200, 0, 100, ["gotoh", "strips"], id="cli_small-100"
+            ),
+            pytest.param(200, 0, 60, ["gotoh", "strips"], id="cli_small-60"),
+            pytest.param(
+                500, 12, 60, ["gotoh"] * 4 + ["strips"],
+                id="campaign_checkpoint-60",
+            ),
+            pytest.param(
+                500, 12, 350, ["striped"] * 4 + ["strips"],
+                id="tail_store_fanned-350",
+            ),
+        ],
+    )
+    def test_kernel_picks_pinned_for_bench_shapes(self, n, tail, m, expected):
+        for seed in (1, 2):
+            lengths = _swissprot_lengths(n, tail, seed)
+            lengths, plan, kernels = _plan(lengths, m)
+            assert kernels == expected
+            for (start, end), kernel in zip(plan.ranges, kernels):
+                if int(lengths[end - 1]) >= 3_600:
+                    # The titin-class tail never joins a bulk group.
+                    assert kernel == "strips"
 
     def test_tuner_knob_picks_pinned(self):
-        lengths = self._swissprot_lengths(500, 12, 1)
+        lengths = _swissprot_lengths(500, 12, 1)
         assert tune_split_threshold(
-            lengths, group_size=128, strip_width=64
-        ) == 737
-        assert _tuned(lengths, 128, STRIP_CELL_COST=0.01) == 0
+            lengths, group_size=128, strip_width=64, query_length=350
+        ) == 492
+        assert _tuned(lengths, 128, **FREE_STRIPS) == 0
 
     def test_constants_live_in_the_kernel_table(self):
         from repro.app import threshold
         from repro.engine import kernels
 
-        for name in ("STRIP_CELL_COST", "STRIPED_COLUMN_OVERHEAD"):
+        for name in (
+            "GOTOH_CELL_COST", "GOTOH_ROW_OVERHEAD",
+            "STRIPED_CELL_COST", "STRIPED_COLUMN_OVERHEAD",
+            "STRIP_CELL_COST", "STRIP_ROW_OVERHEAD",
+        ):
             assert isinstance(getattr(kernels, name), float)
             # One home: the tuner reads them through the kernel table.
             assert not hasattr(threshold, name)
 
     def test_group_costs(self, corpus):
-        from repro.engine.kernels import (
-            STRIP_CELL_COST,
-            STRIPED_COLUMN_OVERHEAD,
-            group_cost,
-        )
+        from repro.engine import kernels
 
+        m = len(corpus["query"])
         groups = pack_database_hetero(corpus["db"], 4, 300)
         for g in groups:
-            cost = group_cost(g)
-            if g.lane_engine == "striped":
-                assert cost == g.max_length * (
-                    g.size + STRIPED_COLUMN_OVERHEAD
-                )
-            else:
-                assert cost == g.sweep_cells * STRIP_CELL_COST
-            gotoh = LANE_KERNELS["gotoh"].cost(g.lengths, g.strip_width)
-            assert gotoh == g.padded_cells
+            for name in ("gotoh", "striped", "strips"):
+                g = replace(g, lane_engine=name)
+                cost = kernels.group_cost(g, m)
+                if name == "gotoh":
+                    assert cost == m * (
+                        kernels.GOTOH_CELL_COST * g.padded_cells
+                        + kernels.GOTOH_ROW_OVERHEAD
+                    )
+                elif name == "striped":
+                    assert cost == g.max_length * (
+                        kernels.STRIPED_CELL_COST * g.size * m
+                        + kernels.STRIPED_COLUMN_OVERHEAD
+                    )
+                else:
+                    assert cost == m * (
+                        kernels.STRIP_CELL_COST * g.sweep_cells
+                        + kernels.STRIP_ROW_OVERHEAD
+                    )

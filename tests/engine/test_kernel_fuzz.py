@@ -1,0 +1,143 @@
+"""Any lane kernel on any packed group scores like the scalar DP.
+
+The planner stamps each group with whichever kernel its cost model
+prices lowest, so every kernel must be exact on every group shape, not
+only on the groups it used to get.  These properties draw random
+matrices (all-negative ones included), penalties up to the ``2**20``
+validation cap and lengths on either side of the strip width, then
+compare against :func:`~repro.sw.scalar.sw_score_scalar`:
+
+* the striped kernel across its score tiers (saturating ``uint8``, the
+  ``int16`` re-run, the exact fallback) and stripe geometries, where the
+  lazy-F wrap carries vertical gaps across lanes;
+* every kernel forced onto every group of a planned database.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from repro.alphabet import PROTEIN, GapPenalty, SubstitutionMatrix
+from repro.engine import LANE_KERNELS, pack_plan, score_packed_group_striped
+from repro.engine.kernels import plan_groups
+from repro.engine.pack import pack_group
+from repro.sequence import Database, Sequence, StripedProfile
+from repro.sw import sw_score_scalar
+
+#: The penalty validation cap.
+GAP_CAP = 2**20
+
+
+def _matrix(rng, scale, all_negative):
+    """A symmetric random matrix with entries in ``[-scale, scale]``
+    (``[-scale, 0]`` when all-negative)."""
+    n = PROTEIN.size
+    high = 1 if all_negative else scale + 1
+    upper = np.triu(rng.integers(-scale, high, size=(n, n)))
+    return SubstitutionMatrix("random", PROTEIN, upper + np.triu(upper, 1).T)
+
+
+@st.composite
+def gap_penalties(draw):
+    sigma = draw(st.one_of(st.integers(1, 8), st.integers(1, GAP_CAP)))
+    rho = draw(st.one_of(
+        st.integers(sigma, min(sigma + 16, GAP_CAP)),
+        st.integers(sigma, GAP_CAP),
+    ))
+    return GapPenalty(rho, sigma)
+
+
+@st.composite
+def striped_cases(draw):
+    """A query, subjects, a matrix whose scale picks the score tiers,
+    penalties and a stripe width."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Up to 127 the uint8 tier exists, and from ~30 its cap is low
+    # enough to saturate; up to 2**14 only int16 and, past its cap,
+    # the exact fallback; past 2**15 only the exact fallback.
+    scale = draw(st.one_of(
+        st.integers(1, 8), st.integers(30, 127),
+        st.integers(128, 2**14), st.integers(2**13, 2**14), st.just(2**16),
+    ))
+    matrix = _matrix(rng, scale, draw(st.booleans()))
+    # Few target lanes give several stripe rows even for a short
+    # query, so vertical gaps wrap from lane to lane.
+    target_lanes = draw(st.sampled_from([1, 2, 3, 5, 64]))
+    m = draw(st.integers(1, 30))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    query = Sequence.random("q", m, rng)
+    subjects = [
+        Sequence.random(f"d{i}", n, rng) for i, n in enumerate(lengths)
+    ]
+    return query, subjects, matrix, draw(gap_penalties()), target_lanes
+
+
+class TestStripedAgainstScalar:
+    @settings(max_examples=120, deadline=None)
+    @given(case=striped_cases())
+    def test_every_tier_and_wrap_matches_scalar(self, case):
+        query, subjects, matrix, gaps, target_lanes = case
+        profile = StripedProfile(
+            query.codes, matrix, target_lanes=target_lanes
+        )
+        db = Database.from_sequences(subjects)
+        group = pack_group(db, np.arange(len(db)), lane_engine="striped")
+        scores = score_packed_group_striped(profile, group, gaps)
+        expected = [sw_score_scalar(query, d, matrix, gaps) for d in subjects]
+        assert scores.tolist() == expected
+        if profile.profile8 is None:
+            event("no uint8 tier")
+        elif max(expected) >= profile.cap8:
+            event("uint8 tier saturated")
+        if profile.profile16 is not None and max(expected) >= profile.cap16:
+            event("int16 tier saturated: exact fallback")
+        if profile.seg_len > 1:
+            event("several stripe rows")
+
+
+@st.composite
+def planned_databases(draw):
+    """A query, a database with lengths around the strip width, a
+    matrix, penalties, a group size, a split threshold and a strip
+    width."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.one_of(st.integers(1, 16), st.integers(17, 2**12)))
+    matrix = _matrix(rng, scale, draw(st.booleans()))
+    w = draw(st.integers(2, 12))
+    around_strip = st.sampled_from([1, w - 1, w, w + 1, 2 * w, 2 * w + 1])
+    lengths = draw(st.lists(
+        st.one_of(st.integers(1, 40), around_strip), min_size=1, max_size=10
+    ))
+    m = draw(st.integers(1, 24))
+    query = Sequence.random("q", m, rng)
+    db = Database.from_sequences(
+        [Sequence.random(f"d{i}", n, rng) for i, n in enumerate(lengths)]
+    )
+    group_size = draw(st.integers(1, 5))
+    threshold = draw(st.one_of(st.none(), st.integers(0, 2 * w + 2)))
+    return query, db, matrix, draw(gap_penalties()), group_size, threshold, w
+
+
+class TestForcedKernelsAgainstScalar:
+    @settings(max_examples=60, deadline=None)
+    @given(case=planned_databases())
+    def test_each_kernel_on_every_group_matches_scalar(self, case):
+        query, db, matrix, gaps, group_size, threshold, w = case
+        expected = [sw_score_scalar(query, d, matrix, gaps) for d in db]
+        order = np.argsort(db.lengths, kind="stable")
+        planned = pack_plan(
+            db, order,
+            *plan_groups(db.lengths[order], len(query), group_size, threshold),
+        )
+        for name, kernel in LANE_KERNELS.items():
+            profile = kernel.profile(query.codes, matrix)
+            scores = np.full(len(db), -1, dtype=np.int64)
+            for group in planned:
+                forced = replace(
+                    group, lane_engine=name,
+                    strip_width=w if name == "strips" else None,
+                )
+                scores[group.indices] = kernel.score(profile, forced, gaps)
+            assert scores.tolist() == expected, name

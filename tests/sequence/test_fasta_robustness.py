@@ -4,7 +4,7 @@ import gzip
 
 import pytest
 
-from repro.sequence import read_fasta_file, write_fasta
+from repro.sequence import read_fasta, read_fasta_file, write_fasta
 from repro.sequence.sequence import Sequence
 
 
@@ -76,4 +76,16 @@ class TestGzipSupport:
         gz.write_bytes(gzip.compress(plain.read_bytes()))
         assert [(r.id, r.text) for r in read_fasta_file(gz)] == [
             (r.id, r.text) for r in read_fasta_file(plain)
+        ]
+
+
+class TestHeaderState:
+    def test_residues_before_any_header_raise(self):
+        with pytest.raises(ValueError, match="does not start with"):
+            list(read_fasta("ACDE\n>s1\nACDE\n"))
+
+    def test_every_record_keeps_its_own_header(self):
+        records = list(read_fasta(">s1 first\nACDE\n>s2 second\nKL\n"))
+        assert [(r.id, r.description) for r in records] == [
+            ("s1", "first"), ("s2", "second")
         ]

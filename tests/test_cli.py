@@ -534,3 +534,22 @@ class TestParser:
         assert "db" in help_text
         with pytest.raises(SystemExit):
             build_parser().parse_args(["db"])
+
+
+class TestDbSubcommandTyping:
+    def test_db_info_refuses_what_is_not_a_store(
+        self, fasta_files, monkeypatch
+    ):
+        """``open_database`` without a fallback only returns stores; if
+        it ever hands back a plain database, ``db`` refuses it with the
+        store-refusal exit code instead of failing an assertion."""
+        import repro.engine
+        from repro.sequence import Database, read_fasta_file
+
+        plain = Database.from_sequences(read_fasta_file(fasta_files["db"]))
+        monkeypatch.setattr(
+            repro.engine, "open_database", lambda *args, **kwargs: plain
+        )
+        code, text = run_cli(["db", "info", "some.rdb"])
+        assert code == 4
+        assert "did not open as a database store" in text

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.alphabet import BLOSUM62, GapPenalty, build_blosum
-from repro.engine import BatchedEngine, SearchConfig
-from repro.sequence import Database, Sequence, random_protein
+from repro.engine import BatchedEngine, SearchConfig, pack_database, run_groups
+from repro.sequence import Database, QueryProfile, Sequence, random_protein
 from repro.sw import sw_score_scalar
 
 GAP_CONFIGS = (
@@ -116,10 +116,10 @@ class TestEdgeShapes:
             assert np.array_equal(scores, _reference(q, db, BLOSUM62, gaps))
 
     def test_maximally_ragged_group(self):
-        """One long lane among length-1 lanes: the packer's
-        tail-degeneracy gap split cleaves the 1-vs-120 gap into two
-        dense groups instead of one 15%-efficient rectangle, and padding
-        must never leak into any lane's score."""
+        """One long lane among length-1 lanes: padding must never leak
+        into any lane's score, whether the lanes share one 15%-efficient
+        rectangle or the packer's tail-degeneracy gap split cleaves the
+        1-vs-120 gap into two dense groups."""
         rng = np.random.default_rng(5)
         db = Database.from_sequences(
             [Sequence.random("long", 120, rng)]
@@ -129,9 +129,19 @@ class TestEdgeShapes:
         engine = BatchedEngine(BLOSUM62, gaps, SearchConfig(group_size=7))
         q = random_protein(30, rng, id="q")
         scores, report = engine.search(q, db)
-        assert np.array_equal(scores, _reference(q, db, BLOSUM62, gaps))
-        assert report.group_sizes == (6, 1)
-        assert report.group_efficiencies == (1.0, 1.0)
+        reference = _reference(q, db, BLOSUM62, gaps)
+        assert np.array_equal(scores, reference)
+        # The engine keeps one rectangle: a second group's per-row cost
+        # outweighs sweeping the padding.
+        assert report.group_sizes == (7,)
+        groups = pack_database(db, 7)
+        assert [g.size for g in groups] == [6, 1]
+        assert [g.padding_efficiency for g in groups] == [1.0, 1.0]
+        profile = QueryProfile(q.codes, BLOSUM62)
+        for group, lane_scores in zip(
+            groups, run_groups(profile, groups, gaps)
+        ):
+            assert np.array_equal(lane_scores, reference[group.indices])
 
     def test_group_smaller_than_group_size(self):
         rng = np.random.default_rng(6)
