@@ -10,7 +10,6 @@ test:
 
 lint:
 	PYTHONPATH=src python -m repro.lint src/
-	PYTHONPATH=src python -m repro.lint --self
 
 typecheck:
 	mypy

@@ -13,23 +13,14 @@ failures, and untyped/undocumented public API.
 Pieces:
 
 * :mod:`~repro.lint.rules` — the :class:`~repro.lint.rules.Rule`
-  framework and the built-in ruleset: the heuristic family
-  (``RPL101``..``RPL106``) plus the dataflow-backed family
-  (``RPL107`` broadcast-mismatch, ``RPL108`` dtype-promotion,
-  ``RPL109`` view-alias-mutation, ``RPL110`` pool-boundary);
-* :mod:`~repro.lint.dataflow` — the intraprocedural abstract
-  interpreter behind the second family: per-variable abstract dtype
-  with NumPy promotion, symbolic shapes unified through broadcasting,
-  and storage-set aliasing, joined at branch merges and iterated to a
-  fixed point around loops;
+  framework and the built-in ruleset, six single-pass AST rules
+  (``RPL101``..``RPL106``);
 * :mod:`~repro.lint.runner` — file discovery, AST dispatch, cross-file
-  ``finish`` hooks, inline ``# repro-lint: disable=...`` suppressions,
-  a process pool for per-file rules and the content-hash findings
-  cache (``.repro-lint-cache/``);
+  ``finish`` hooks and inline ``# repro-lint: disable=...``
+  suppressions;
 * :mod:`~repro.lint.baseline` — the committed-findings ratchet;
 * :mod:`~repro.lint.cli` — the ``repro-lint`` command (text / JSON /
-  GitHub-annotation output, ``--jobs``/``--no-cache``, and ``--self``
-  which also drives the interpreter over the linter's own sources).
+  GitHub-annotation output).
 
 See ``docs/static-analysis.md`` for the rule catalogue and workflow.
 The package is stdlib-only on purpose: it must import (and run in CI)

@@ -13,7 +13,6 @@ __all__ = [
     "iter_functions",
     "str_arg",
     "qualname_index",
-    "qualname_for_line",
 ]
 
 
@@ -60,8 +59,8 @@ def qualname_index(tree: ast.AST) -> dict[int, str]:
     """``id(def-node) -> dotted qualname`` for every class/function.
 
     Nested scopes join with ``.`` (``Outer.method.closure``), which is
-    what the baseline fingerprints and the dataflow analyses use to
-    name a finding's enclosing definition stably across line moves.
+    what the baseline fingerprints use to name a finding's enclosing
+    definition stably across line moves.
     """
     out: dict[int, str] = {}
 
@@ -79,33 +78,6 @@ def qualname_index(tree: ast.AST) -> dict[int, str]:
 
     walk(tree, "")
     return out
-
-
-def qualname_for_line(tree: ast.AST, line: int) -> str:
-    """The innermost class/function qualname containing ``line``.
-
-    Returns ``""`` for module-level lines (and for ``line <= 0``).
-    Callers cache the computed interval table on the file context; this
-    helper recomputes it, so prefer
-    :meth:`repro.lint.rules.base.FileContext.qualname_at` in rules.
-    """
-    if line <= 0:
-        return ""
-    best = ""
-    best_span: int | None = None
-    index = qualname_index(tree)
-    for node in ast.walk(tree):
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        end = getattr(node, "end_lineno", None) or node.lineno
-        if node.lineno <= line <= end:
-            span = end - node.lineno
-            if best_span is None or span <= best_span:
-                best = index.get(id(node), node.name)
-                best_span = span
-    return best
 
 
 def str_arg(call: ast.Call, index: int = 0) -> str | None:

@@ -13,12 +13,9 @@ line moves and message rewording keep entries valid) with
 per-fingerprint counts — adding a *second* instance of an
 already-baselined violation to the same file is still reported.
 
-Version-1 baselines (the pre-PR 9 rule+path+message scheme) load as
-*legacy* entries: findings that miss on the current fingerprint are
-retried against :meth:`~repro.lint.findings.Finding.legacy_fingerprint`
-so an old committed baseline keeps absorbing its debt.  Running
-``--update-baseline`` (or :meth:`Baseline.write`) migrates the file to
-version 2 in place.
+Only the current (version-2) scheme is read; a file of any other
+version is refused like a foreign schema, and ``--update-baseline``
+regenerates it.
 """
 
 from __future__ import annotations
@@ -39,18 +36,16 @@ _VERSION = 2
 class Baseline:
     """Fingerprint -> allowed-count map with JSON (de)serialization."""
 
-    def __init__(
-        self,
-        counts: dict[str, int] | None = None,
-        legacy_counts: dict[str, int] | None = None,
-    ) -> None:
+    def __init__(self, counts: dict[str, int] | None = None) -> None:
         self.counts: dict[str, int] = dict(counts or {})
-        #: version-1 (rule+path+message) fingerprints, matched second.
-        self.legacy_counts: dict[str, int] = dict(legacy_counts or {})
 
     @classmethod
     def load(cls, path: str | Path) -> "Baseline":
-        """Read a baseline file; a missing file is an empty baseline."""
+        """Read a baseline file; a missing file is an empty baseline.
+
+        Raises :class:`ValueError` for a foreign schema or any version
+        other than the current one.
+        """
         path = Path(path)
         if not path.is_file():
             return cls()
@@ -60,15 +55,18 @@ class Baseline:
                 f"{path} is not a lint baseline (schema="
                 f"{data.get('schema')!r})"
             )
-        counts = {
-            fp: int(entry["count"])
-            for fp, entry in data.get("findings", {}).items()
-        }
-        if int(data.get("version", 1)) < 2:
-            # A pre-migration file: its fingerprints were computed with
-            # the rule+path+message scheme.
-            return cls(legacy_counts=counts)
-        return cls(counts)
+        if data.get("version") != _VERSION:
+            raise ValueError(
+                f"{path} is not a version-{_VERSION} lint baseline "
+                f"(version={data.get('version')!r}): regenerate it with "
+                f"--update-baseline"
+            )
+        return cls(
+            {
+                fp: int(entry["count"])
+                for fp, entry in data.get("findings", {}).items()
+            }
+        )
 
     @classmethod
     def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
@@ -76,11 +74,7 @@ class Baseline:
         return cls(dict(Counter(f.fingerprint() for f in findings)))
 
     def write(self, path: str | Path, findings: Sequence[Finding]) -> Path:
-        """Serialize, with one annotated entry per fingerprint.
-
-        Always writes the version-2 scheme — rewriting an old baseline
-        with the current findings *is* the migration.
-        """
+        """Serialize, with one annotated entry per fingerprint."""
         by_fp: dict[str, dict[str, Any]] = {}
         for f in sorted(findings):
             fp = f.fingerprint()
@@ -113,11 +107,9 @@ class Baseline:
         """Split findings into (new, baselined-count).
 
         Up to ``counts[fingerprint]`` occurrences of each fingerprint
-        are absorbed (legacy fingerprints matched for version-1 files);
-        the overflow is new.
+        are absorbed; the overflow is new.
         """
         budget = Counter(self.counts)
-        legacy_budget = Counter(self.legacy_counts)
         fresh: list[Finding] = []
         absorbed = 0
         for f in sorted(findings):
@@ -125,14 +117,9 @@ class Baseline:
             if budget[fp] > 0:
                 budget[fp] -= 1
                 absorbed += 1
-                continue
-            legacy = f.legacy_fingerprint()
-            if legacy_budget[legacy] > 0:
-                legacy_budget[legacy] -= 1
-                absorbed += 1
-                continue
-            fresh.append(f)
+            else:
+                fresh.append(f)
         return fresh, absorbed
 
     def __len__(self) -> int:
-        return sum(self.counts.values()) + sum(self.legacy_counts.values())
+        return sum(self.counts.values())

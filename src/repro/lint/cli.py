@@ -6,7 +6,6 @@ Usage::
     repro-lint --format json src/         # machine-readable report
     repro-lint --format github src/       # GitHub Actions annotations
     repro-lint --update-baseline src/     # absorb current findings
-    repro-lint --self                     # lint the linter itself
     repro-lint --list-rules
 
 Exit codes: 0 — no new findings; 1 — new findings (or a rule error);
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import IO, Sequence
@@ -27,7 +25,7 @@ from typing import IO, Sequence
 from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding
 from repro.lint.rules import all_rules
-from repro.lint.runner import DEFAULT_CACHE_DIR, LintResult, LintRunner
+from repro.lint.runner import LintResult, LintRunner
 
 __all__ = ["main", "build_parser"]
 
@@ -48,11 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Domain static analysis for the CUDASW++ reproduction: "
-            "buffer-aliasing, dtype, determinism, observability-registry, "
-            "exception-hygiene and API-coverage rules, plus a "
-            "dataflow-backed family (shape broadcasting, dtype promotion, "
-            "view aliasing, pool-boundary safety) driven by a NumPy "
-            "abstract interpreter."
+            "single-pass AST rules for buffer aliasing, dtype stability, "
+            "determinism, the observability registry, exception hygiene "
+            "and public-API coverage."
         ),
     )
     parser.add_argument(
@@ -99,12 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids/names to skip",
     )
     parser.add_argument(
-        "--self",
-        dest="lint_self",
-        action="store_true",
-        help="lint the linter's own package (src/repro/lint)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -113,20 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         help="also write the JSON report to this path (any --format)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for per-file rules (0 = one per CPU, "
-        "1 = serial; default: 0)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=f"skip the per-file findings cache "
-        f"({DEFAULT_CACHE_DIR}/ under the root)",
     )
     return parser
 
@@ -140,75 +116,20 @@ def _list_rules(out: IO[str]) -> int:
 
 
 def _report_dict(
-    result: LintResult,
-    new: list[Finding],
-    baselined: int,
-    self_check: dict | None = None,
+    result: LintResult, new: list[Finding], baselined: int
 ) -> dict:
-    report = {
+    return {
         "schema": REPORT_SCHEMA,
         "version": REPORT_VERSION,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
         "baselined": baselined,
-        "cache_hits": result.cache_hits,
         "findings": [f.to_dict() for f in new],
         "summary": {
             "total": len(new),
             "by_rule": _by_rule(new),
         },
     }
-    if self_check is not None:
-        report["self_check"] = self_check
-    return report
-
-
-def _self_check(package_dir: Path, root: Path) -> tuple[dict, list[Finding]]:
-    """Drive the abstract interpreter over the linter's own sources.
-
-    ``--self`` is the dataflow pass's regression harness: every
-    function in the package is interpreted to a fixed point, and any
-    internal error the driver swallowed surfaces as a finding.
-    """
-    import ast as _ast
-
-    from repro.lint.astutil import qualname_index
-    from repro.lint.dataflow import analyze_module
-
-    functions = 0
-    converged = 0
-    findings: list[Finding] = []
-    for path in sorted(package_dir.rglob("*.py")):
-        try:
-            tree = _ast.parse(path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            continue  # the lint run itself reports these
-        try:
-            rel = path.relative_to(root).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-        module = analyze_module(tree, qualname_index(tree))
-        for analysis in module.functions:
-            functions += 1
-            if analysis.error is None:
-                converged += 1
-            else:
-                findings.append(
-                    Finding(
-                        path=rel,
-                        line=analysis.fn.lineno,
-                        col=analysis.fn.col_offset,
-                        rule_id="RPL198",
-                        rule_name="dataflow-self-check",
-                        message=(
-                            f"abstract interpretation of "
-                            f"{analysis.qualname}() raised internally: "
-                            f"{analysis.error}"
-                        ),
-                        qualname=analysis.qualname,
-                    )
-                )
-    return {"functions": functions, "converged": converged}, findings
 
 
 def _by_rule(findings: list[Finding]) -> dict[str, int]:
@@ -238,9 +159,6 @@ def main(
 
     root = Path(args.root).resolve() if args.root else Path.cwd()
     paths = list(args.paths)
-    if args.lint_self:
-        self_dir = Path(__file__).resolve().parent
-        paths.append(str(self_dir))
     if not paths:
         default = root / "src"
         if not default.is_dir():
@@ -252,27 +170,13 @@ def main(
 
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    cache_dir = None if args.no_cache else root / DEFAULT_CACHE_DIR
     try:
-        runner = LintRunner(
-            root,
-            select=select,
-            ignore=ignore,
-            jobs=jobs,
-            cache_dir=cache_dir,
+        result = LintRunner(root, select=select, ignore=ignore).run_paths(
+            paths
         )
-        result = runner.run_paths(paths)
     except FileNotFoundError as exc:
         err.write(f"repro-lint: {exc}\n")
         return EXIT_USAGE
-
-    self_check: dict | None = None
-    if args.lint_self:
-        self_dir = Path(__file__).resolve().parent
-        self_check, self_findings = _self_check(self_dir, root)
-        result.findings.extend(self_findings)
-        result.findings.sort()
 
     baseline_path = Path(args.baseline) if args.baseline else (
         root / DEFAULT_BASELINE
@@ -295,7 +199,7 @@ def main(
             return EXIT_USAGE
         new, baselined = baseline.filter(result.findings)
 
-    report = _report_dict(result, new, baselined, self_check)
+    report = _report_dict(result, new, baselined)
     if args.output:
         Path(args.output).write_text(
             json.dumps(report, indent=2) + "\n", encoding="utf-8"
@@ -318,13 +222,6 @@ def main(
             extras.append(f"{result.suppressed} suppressed inline")
         if baselined:
             extras.append(f"{baselined} baselined")
-        if result.cache_hits:
-            extras.append(f"{result.cache_hits} from cache")
-        if self_check is not None:
-            extras.append(
-                f"self-check interpreted {self_check['functions']} "
-                f"function(s), {self_check['converged']} converged"
-            )
         if extras:
             tail += f" ({', '.join(extras)})"
         out.write(tail + "\n")

@@ -6,9 +6,7 @@ baseline matching: it hashes the rule id, the file path, the enclosing
 definition's qualname and the normalized source line the finding
 anchors to — but neither the line number nor the message, so unrelated
 edits that move a baselined finding (or reword a message that embeds a
-line number) do not resurrect it.  The pre-PR 9 scheme hashed the
-message instead; :meth:`Finding.legacy_fingerprint` keeps it available
-so version-1 baselines still match until regenerated.
+line number) do not resurrect it.
 """
 
 from __future__ import annotations
@@ -66,11 +64,6 @@ class Finding:
         key = f"{self.rule_id}::{self.path}::{self.qualname}::{anchor}"
         return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
-    def legacy_fingerprint(self) -> str:
-        """The pre-PR 9 fingerprint (rule + path + message)."""
-        key = f"{self.rule_id}::{self.path}::{self.message}"
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready representation (the report schema's finding shape)."""
         return {
@@ -85,21 +78,6 @@ class Finding:
             "context": self.context,
             "fingerprint": self.fingerprint(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (cache I/O)."""
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            rule_id=str(data["rule"]),
-            rule_name=str(data["name"]),
-            message=str(data["message"]),
-            severity=Severity(data.get("severity", "error")),
-            qualname=str(data.get("qualname", "")),
-            context=str(data.get("context", "")),
-        )
 
     def render_text(self) -> str:
         """The classic one-line ``path:line:col: ID message`` form."""

@@ -2,8 +2,7 @@
 
 A :class:`Rule` inspects one parsed file at a time through
 ``visit_<NodeType>`` methods (dispatched over ``ast.walk``) or by
-overriding :meth:`Rule.check_file` outright for flow-sensitive
-analyses; cross-file rules additionally override :meth:`Rule.finish`,
+overriding :meth:`Rule.check_file` outright; cross-file rules additionally override :meth:`Rule.finish`,
 which runs once after every file has been visited (the counter-registry
 rule reconciles code against ``docs/observability.md`` there).
 
@@ -25,14 +24,10 @@ from repro.lint.rules.base import (
 from repro.lint.rules import (  # noqa: F401  (registration imports)
     aliasing,
     api_docs,
-    broadcast,
     dtypes,
     exceptions,
-    poolsafety,
-    promotion,
     randomness,
     registry,
-    view_alias,
 )
 
 __all__ = [

@@ -34,11 +34,6 @@ import ast
 from typing import Iterator
 
 from repro.lint.astutil import dotted_name, iter_functions
-from repro.lint.dataflow import (
-    ModuleAnalysis,
-    file_analysis,
-    subtree_analyses,
-)
 from repro.lint.findings import Finding
 from repro.lint.rules.base import FileContext, Rule, register
 
@@ -94,8 +89,8 @@ class _FunctionScan:
         self.buffers: set[str] = set()
         #: name -> line numbers of in-place mutations of that name.
         self.mutations: dict[str, list[int]] = {}
-        #: (node, target, source, is_view) of plain alias assignments.
-        self.aliases: list[tuple[ast.Assign, str, str, bool]] = []
+        #: (node, target, source) of plain alias assignments.
+        self.aliases: list[tuple[ast.Assign, str, str]] = []
         #: in-place mutations hitting parameters: (node, param, how).
         self.param_mutations: list[tuple[ast.AST, str, str]] = []
         self._walk(fn)
@@ -166,13 +161,10 @@ class _FunctionScan:
         # Plain alias: name = buffer (or a view of one).
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             source = node.value
-            is_view = isinstance(source, ast.Subscript)
-            if is_view:
+            if isinstance(source, ast.Subscript):
                 source = source.value
             if isinstance(source, ast.Name):
-                self.aliases.append(
-                    (node, node.targets[0].id, source.id, is_view)
-                )
+                self.aliases.append((node, node.targets[0].id, source.id))
 
 
 @register
@@ -193,10 +185,9 @@ class ShallowSwapRule(Rule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        module = file_analysis(ctx)
         for fn in iter_functions(ctx.tree):
             scan = _FunctionScan(fn)
-            yield from self._check_aliases(ctx, fn, scan, module)
+            yield from self._check_aliases(ctx, fn, scan)
             for node, param, how in scan.param_mutations:
                 yield self.finding(
                     ctx,
@@ -211,30 +202,10 @@ class ShallowSwapRule(Rule):
         ctx: FileContext,
         fn: ast.FunctionDef | ast.AsyncFunctionDef,
         scan: _FunctionScan,
-        module: ModuleAnalysis,
     ) -> Iterator[Finding]:
-        # When the abstract interpreter converged on this function we
-        # trust its flow-sensitive verdict for bare-name aliases: a
-        # heuristic candidate is kept only if dataflow saw a mutation
-        # while the pair's storage was still shared (which also kills
-        # false positives the later-line check cannot — e.g. the alias
-        # partner rebound to a fresh buffer before the mutation).  View
-        # aliases (``a = b[...]``) stay on the heuristic path: deliberate
-        # windowing never records a dataflow pair.
-        confident, analyses = subtree_analyses(module, fn)
-        confirmed_lines: set[int] | None = None
-        if confident:
-            confirmed_lines = {
-                event.alias_node.lineno
-                for analysis in analyses
-                for event in analysis.alias_events()
-            }
-        for node, target, source, is_view in scan.aliases:
+        for node, target, source in scan.aliases:
             if source not in scan.buffers:
                 continue
-            if confirmed_lines is not None and not is_view:
-                if node.lineno not in confirmed_lines:
-                    continue
             for name in (source, target):
                 later = [
                     ln

@@ -38,8 +38,8 @@ class FileContext:
     source: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
-    #: per-file scratch shared between rules (dataflow analyses,
-    #: qualname tables) so each expensive pass runs at most once.
+    #: per-file memo shared between rules (the qualname table) so
+    #: each pass over the tree runs at most once.
     cache: dict[str, Any] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:

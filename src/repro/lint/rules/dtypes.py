@@ -32,7 +32,6 @@ import ast
 from typing import Iterator
 
 from repro.lint.astutil import dotted_name, has_kwarg, kwarg_value
-from repro.lint.dataflow import file_analysis, subtree_analyses
 from repro.lint.findings import Finding
 from repro.lint.rules.base import FileContext, Rule, register
 
@@ -148,7 +147,7 @@ class DtypeStabilityRule(Rule):
         ctx: FileContext,
     ) -> Iterator[Finding]:
         """Flag wrap-prone 8-bit arithmetic in a clamp-free function."""
-        narrow = self._resolve_narrow(fn, ctx)
+        narrow = self._narrow_names(fn)
         if not narrow or self._has_saturation_guard(fn, narrow):
             return
         for sub in ast.walk(fn):
@@ -178,26 +177,6 @@ class DtypeStabilityRule(Rule):
                         yield self._wrap_finding(
                             ctx, sub, name, f"np.{ufunc}"
                         )
-
-    def _resolve_narrow(
-        self,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        ctx: FileContext,
-    ) -> frozenset[str]:
-        """Names bound to 8-bit arrays anywhere in ``fn``'s subtree.
-
-        The abstract interpreter's set is preferred when every unit in
-        the subtree converged: it follows dtype through rebinding,
-        ``*_like`` prototypes and views, which the static scan cannot.
-        Non-converged functions fall back to the allocation-site scan.
-        """
-        confident, analyses = subtree_analyses(file_analysis(ctx), fn)
-        if confident:
-            narrow: set[str] = set()
-            for analysis in analyses:
-                narrow.update(analysis.narrow_names)
-            return frozenset(narrow)
-        return self._narrow_names(fn)
 
     @staticmethod
     def _narrow_names(

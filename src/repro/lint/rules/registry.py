@@ -28,7 +28,9 @@ The rule enforces both directions:
 * every *exact* registered name must appear as a literal somewhere in
   the source tree — stale documentation fails the build too.  Wildcards
   are exempt from this direction, since their members are built at
-  runtime.
+  runtime.  It runs only when the linted files cover the whole
+  ``repro`` package they come from: a run over ``src/repro/engine/``
+  alone cannot tell a stale row from a name another package emits.
 
 By convention the ambient instrumentation handle is named ``instr``
 (see ``repro.obs.context``); only calls through that name are
@@ -42,11 +44,14 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.lint.astutil import str_arg
 from repro.lint.findings import Finding
 from repro.lint.rules.base import FileContext, Rule, register
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.lint.runner import Project
 
 __all__ = ["CounterRegistryRule", "parse_registry"]
 
@@ -116,11 +121,20 @@ class CounterRegistryRule(Rule):
         self.counters_used: dict[str, tuple[str, int, int]] = {}
         self.spans_used: dict[str, tuple[str, int, int]] = {}
         self.histograms_used: dict[str, tuple[str, int, int]] = {}
+        #: root-relative ``repro`` package directories of linted files.
+        self.packages: set[str] = set()
 
     def applies_to(self, ctx: FileContext) -> bool:
         if ctx.module_path.startswith("repro/lint/"):
             return False
         return super().applies_to(ctx)
+
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
+        # ctx.path ends in ctx.module_path (``repro/...``); what comes
+        # before it locates the package directory.
+        prefix = ctx.path[: len(ctx.path) - len(ctx.module_path)]
+        self.packages.add(prefix + "repro")
+        return super().check_file(ctx)
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
         """Collect literals; reconciliation happens in :meth:`finish`."""
@@ -156,7 +170,7 @@ class CounterRegistryRule(Rule):
         used.setdefault(literal, (ctx.path, node.lineno, node.col_offset))
         return None
 
-    def finish(self, project) -> Iterator[Finding]:
+    def finish(self, project: "Project") -> Iterator[Finding]:
         doc_path = project.root / REGISTRY_DOC
         if (
             not self.counters_used
@@ -224,6 +238,8 @@ class CounterRegistryRule(Rule):
                 ),
                 severity=self.severity,
             )
+        if not self._covers_packages(project):
+            return
         for name in sorted(exact - set(self.counters_used)):
             yield self._doc_finding(
                 f"registered counter {name!r} is never emitted by the "
@@ -242,6 +258,17 @@ class CounterRegistryRule(Rule):
                 f"the linted sources: stale documentation (delete the "
                 f"entry or restore the histogram)",
             )
+
+    def _covers_packages(self, project: "Project") -> bool:
+        """Whether every module of each package in :attr:`packages` was
+        linted.  (In-memory fixtures whose package is not on disk
+        count as whole.)"""
+        linted = {(project.root / p).resolve() for p in project.file_paths}
+        return all(
+            path.resolve() in linted
+            for package in self.packages
+            for path in (project.root / package).rglob("*.py")
+        )
 
     def _doc_finding(self, message: str) -> Finding:
         return Finding(

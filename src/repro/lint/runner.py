@@ -5,31 +5,22 @@ set over the ASTs, runs the cross-file ``finish`` hooks, and applies
 inline suppressions — producing a :class:`LintResult` the CLI renders.
 ``run_sources`` accepts an in-memory ``{path: source}`` map so rule
 tests exercise fixture snippets without touching the filesystem.
-
-Per-file work parallelizes: rules that never override
-:meth:`Rule.finish` are *local* — their findings depend only on one
-file's source — so they can run in worker processes (``jobs``) and
-their findings can be memoized in a content-hash cache
-(``.repro-lint-cache/``) keyed on the file body, the rule set and the
-linter's own sources.  Cross-file rules (the observability-registry
-reconciliation) accumulate state across ``check_file`` calls and must
-stay in the parent process; they run serially and are never cached.
+Everything runs serially in one process: the whole tree lints in
+about 1.4 s on a 2-CPU host.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.rules import FileContext, Rule, all_rules, get_rule
+from repro.lint.rules import FileContext, Rule, all_rules
 from repro.lint.suppress import SuppressionMap, scan_suppressions
 
-__all__ = ["LintRunner", "LintResult", "Project", "DEFAULT_CACHE_DIR"]
+__all__ = ["LintRunner", "LintResult", "Project"]
 
 #: Directory names never descended into during discovery.
 _SKIP_DIRS = frozenset(
@@ -40,32 +31,8 @@ _SKIP_DIRS = frozenset(
         "venv",
         "node_modules",
         ".mypy_cache",
-        ".repro-lint-cache",
     }
 )
-
-DEFAULT_CACHE_DIR = ".repro-lint-cache"
-
-_CACHE_VERSION = 1
-
-#: Lazily computed digest of the lint package's own sources: editing
-#: any rule or the dataflow core invalidates every cache entry.
-_package_salt_memo: str | None = None
-
-
-def _package_salt() -> str:
-    global _package_salt_memo
-    if _package_salt_memo is None:
-        digest = hashlib.sha256()
-        package_dir = Path(__file__).resolve().parent
-        for path in sorted(package_dir.rglob("*.py")):
-            digest.update(path.relative_to(package_dir).as_posix().encode())
-            try:
-                digest.update(path.read_bytes())
-            except OSError:
-                pass
-        _package_salt_memo = digest.hexdigest()
-    return _package_salt_memo
 
 
 @dataclass
@@ -83,7 +50,6 @@ class LintResult:
     findings: list[Finding]
     suppressed: int = 0  #: findings silenced by inline directives
     files_checked: int = 0
-    cache_hits: int = 0  #: files whose local findings came from cache
 
     @property
     def errors(self) -> list[Finding]:
@@ -104,37 +70,6 @@ def _module_path(rel_path: str) -> str:
     return "/".join(parts)
 
 
-def _is_local_rule(rule: Rule) -> bool:
-    """Whether ``rule``'s findings depend on one file alone."""
-    return type(rule).finish is Rule.finish
-
-
-def _lint_one_file(
-    rel: str, module_path: str, source: str, rule_ids: Sequence[str]
-) -> list[dict]:
-    """Run the named local rules over one source; findings as dicts.
-
-    Shared by the in-process path, the worker processes and the cache
-    writer, so all three produce byte-identical results.
-    """
-    tree = ast.parse(source)
-    ctx = FileContext(
-        path=rel, module_path=module_path, source=source, tree=tree
-    )
-    out: list[dict] = []
-    for rule_id in rule_ids:
-        rule = get_rule(rule_id)()
-        if rule.applies_to(ctx):
-            out.extend(f.to_dict() for f in rule.check_file(ctx))
-    return out
-
-
-def _lint_file_task(payload: tuple) -> tuple[str, list[dict]]:
-    """Worker-side entry: plain-data payload in, plain data out."""
-    rel, module_path, source, rule_ids = payload
-    return rel, _lint_one_file(rel, module_path, source, rule_ids)
-
-
 class LintRunner:
     """Run a rule set over files or in-memory sources."""
 
@@ -145,8 +80,6 @@ class LintRunner:
         rules: Sequence[Rule] | None = None,
         select: Iterable[str] | None = None,
         ignore: Iterable[str] | None = None,
-        jobs: int = 1,
-        cache_dir: str | Path | None = None,
     ) -> None:
         self.root = Path(root or Path.cwd()).resolve()
         chosen = list(rules) if rules is not None else all_rules()
@@ -163,8 +96,6 @@ class LintRunner:
                 if r.id not in dropped and r.name not in dropped
             ]
         self.rules = chosen
-        self.jobs = max(1, jobs)
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
 
     # ------------------------------------------------------------------
     # Entry points
@@ -198,15 +129,8 @@ class LintRunner:
     def run_sources(self, sources: Mapping[str, str]) -> LintResult:
         """Lint an in-memory ``{relative_path: source}`` mapping."""
         project = Project(root=self.root, file_paths=sorted(sources))
-        local_ids = tuple(
-            sorted(r.id for r in self.rules if _is_local_rule(r))
-        )
-        global_rules = [r for r in self.rules if not _is_local_rule(r)]
-
         raw: list[Finding] = []
         suppressions: dict[str, SuppressionMap] = {}
-        pending: list[tuple[str, str, str, str | None]] = []
-        cache_hits = 0
         for rel in sorted(sources):
             source = sources[rel]
             suppressions[rel] = scan_suppressions(source)
@@ -224,26 +148,15 @@ class LintRunner:
                     )
                 )
                 continue
-            module_path = _module_path(rel)
             ctx = FileContext(
                 path=rel,
-                module_path=module_path,
+                module_path=_module_path(rel),
                 source=source,
                 tree=tree,
             )
-            for rule in global_rules:
+            for rule in self.rules:
                 if rule.applies_to(ctx):
                     raw.extend(rule.check_file(ctx))
-            key = self._cache_key(rel, module_path, source, local_ids)
-            cached = self._cache_read(key)
-            if cached is not None:
-                cache_hits += 1
-                raw.extend(Finding.from_dict(d) for d in cached)
-            else:
-                pending.append((rel, module_path, source, key))
-
-        if pending:
-            raw.extend(self._run_local(pending, local_ids))
 
         for rule in self.rules:
             raw.extend(rule.finish(project))
@@ -263,94 +176,7 @@ class LintRunner:
             findings=kept,
             suppressed=suppressed,
             files_checked=len(sources),
-            cache_hits=cache_hits,
         )
-
-    # ------------------------------------------------------------------
-    # Local-rule execution (serial or worker pool) and caching
-    # ------------------------------------------------------------------
-    def _run_local(
-        self,
-        pending: Sequence[tuple[str, str, str, str | None]],
-        local_ids: tuple[str, ...],
-    ) -> list[Finding]:
-        by_rel: dict[str, list[dict]] | None = None
-        if self.jobs > 1 and len(pending) > 1:
-            by_rel = self._run_pool(pending, local_ids)
-        if by_rel is None:
-            by_rel = {
-                rel: _lint_one_file(rel, module_path, source, local_ids)
-                for rel, module_path, source, _ in pending
-            }
-        out: list[Finding] = []
-        for rel, _, _, key in pending:
-            dicts = by_rel[rel]
-            self._cache_write(key, dicts)
-            out.extend(Finding.from_dict(d) for d in dicts)
-        return out
-
-    def _run_pool(
-        self,
-        pending: Sequence[tuple[str, str, str, str | None]],
-        local_ids: tuple[str, ...],
-    ) -> dict[str, list[dict]] | None:
-        """Fan the pending files over a process pool; ``None`` on any
-        pool failure (the caller falls back to in-process serial)."""
-        import concurrent.futures
-
-        payloads = [
-            (rel, module_path, source, local_ids)
-            for rel, module_path, source, _ in pending
-        ]
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(payloads))
-            ) as pool:
-                return dict(pool.map(_lint_file_task, payloads))
-        except Exception:
-            return None
-
-    def _cache_key(
-        self,
-        rel: str,
-        module_path: str,
-        source: str,
-        local_ids: tuple[str, ...],
-    ) -> str | None:
-        if self.cache_dir is None:
-            return None
-        digest = hashlib.sha256()
-        digest.update(_package_salt().encode())
-        digest.update(f"v{_CACHE_VERSION}".encode())
-        digest.update(rel.encode())
-        digest.update(module_path.encode())
-        digest.update(",".join(local_ids).encode())
-        digest.update(source.encode("utf-8"))
-        return digest.hexdigest()
-
-    def _cache_read(self, key: str | None) -> list[dict] | None:
-        if key is None or self.cache_dir is None:
-            return None
-        path = self.cache_dir / f"{key}.json"
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(data, list):
-            return None
-        return data
-
-    def _cache_write(self, key: str | None, dicts: list[dict]) -> None:
-        if key is None or self.cache_dir is None:
-            return
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            path = self.cache_dir / f"{key}.json"
-            path.write_text(
-                json.dumps(dicts, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        except OSError:
-            pass  # a read-only tree just runs uncached
 
     # ------------------------------------------------------------------
     # Discovery

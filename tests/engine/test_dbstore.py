@@ -90,6 +90,37 @@ def store(store_path):
 
 
 @pytest.fixture(scope="module")
+def degenerate(query, tmp_path_factory):
+    """Degenerate databases as ``(name, database, store, reference)``:
+    one length-1 subject, one group under the group size, and an
+    all-tail database of 2,000-2,600 aa subjects."""
+    rng = np.random.default_rng(63)
+    shapes = {
+        "length-1": [1],
+        "one-short-group": [5, 17, 40],
+        "all-tail": [2000, 2150, 2310, 2480, 2600],
+    }
+    out = []
+    for name, lengths in shapes.items():
+        database = Database.from_sequences(
+            [Sequence.random(f"{name}-{i}", n, rng)
+             for i, n in enumerate(lengths)]
+        )
+        path = tmp_path_factory.mktemp("rdb") / f"{name}.rdb"
+        build_store(database, path, group_size=GROUP)
+        reference = np.array(
+            [
+                sw_score_scalar(query.codes, database.codes_of(i),
+                                BLOSUM62, GP)
+                for i in range(len(database))
+            ],
+            dtype=np.int64,
+        )
+        out.append((name, database, _open_deep(path), reference))
+    return out
+
+
+@pytest.fixture(scope="module")
 def reference(db, query):
     return np.array(
         [
@@ -125,10 +156,13 @@ def test_build_refuses_bad_inputs(db, tmp_path):
     lengths_only = Database.from_lengths(db.lengths, db.alphabet)
     with pytest.raises(ValueError, match="lengths-only"):
         build_store(lengths_only, tmp_path / "x.rdb")
+    with pytest.raises(ValueError, match="zero sequences"):
+        Database.from_sequences([])
 
 
 #: One search config per lane kernel that sweeps every group with that
-#: kernel (``strips`` alone is hetero past a zero split), plus the mix.
+#: kernel (``strips`` alone is hetero past a zero split), plus hetero at
+#: a fixed, the tuned and a split past every length.
 LANE_CONFIGS = {
     "gotoh": SearchConfig(group_size=GROUP),
     "striped": SearchConfig(engine="striped", group_size=GROUP),
@@ -138,28 +172,42 @@ LANE_CONFIGS = {
     "hetero": SearchConfig(
         engine="hetero", group_size=GROUP, split_threshold=100
     ),
+    "hetero-auto": SearchConfig(engine="hetero", group_size=GROUP),
+    "hetero-no-tail": SearchConfig(
+        engine="hetero", group_size=GROUP, split_threshold=1_000_000
+    ),
 }
 
 
 @pytest.mark.parametrize("lane", list(LANE_CONFIGS))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_store_scores_bit_identical(
-    db, query, store, reference, lane, workers
+    db, query, store, reference, degenerate, lane, workers
 ):
     """Every lane kernel, serial and on a pool forced by an explicit
     fault policy, from FASTA and from the store, is bit-identical to
-    ``sw_score_scalar`` and sweeps with the expected kernels."""
+    ``sw_score_scalar`` and sweeps with the expected kernels; so are
+    the degenerate databases."""
     assert set(LANE_KERNELS) < set(LANE_CONFIGS)
     engine = BatchedEngine(
         BLOSUM62, GP,
         replace(LANE_CONFIGS[lane], workers=workers, fault_policy=FaultPolicy()),
     )
-    # The cost model sweeps the 36-aa query's bulk with gotoh.
-    expected = {"gotoh", "strips"} if lane == "hetero" else {lane}
+    # The cost model sweeps the 36-aa query's bulk with gotoh, and the
+    # tuned split leaves this database no tail.
+    expected = {
+        "hetero": {"gotoh", "strips"},
+        "hetero-auto": {"gotoh"},
+        "hetero-no-tail": {"gotoh"},
+    }.get(lane, {lane})
     for target in (db, store):
         scores, report = engine.search(query, target)
         assert np.array_equal(scores, reference)
         assert set(report.lane_engines) == expected
+    for name, small_db, small_store, small_reference in degenerate:
+        for target in (small_db, small_store):
+            scores, _ = engine.search(query, target)
+            assert np.array_equal(scores, small_reference), name
 
 
 def test_worker_materializes_group_refs(db, query, store):

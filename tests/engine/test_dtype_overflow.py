@@ -7,8 +7,12 @@ alignments.  These tests pin the row and strip sweeps' dtype ladder
 end to end that a score which cannot fit in int16 comes back exact, and
 compare both sweeps against the scalar reference over random matrices,
 penalties and lengths on either side of the int16 bound and the strip
-width.
+width.  They also check that the sweeps' working buffers stay in the
+rung they were allocated in: a stray wide operand would widen a buffer
+without changing any score.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -19,8 +23,9 @@ from repro.alphabet import BLOSUM62, PROTEIN, GapPenalty, SubstitutionMatrix
 from repro.engine import BatchedEngine, SearchConfig
 from repro.engine.lanes import _working_dtype, score_packed_group
 from repro.engine.pack import pack_group
+from repro.engine.striped import _lazy_f_sweep
 from repro.engine.strips import score_packed_group_strips
-from repro.sequence import Database, QueryProfile, Sequence
+from repro.sequence import Database, QueryProfile, Sequence, StripedProfile
 from repro.sw import sw_score_scalar
 from repro.sw.antidiagonal import sw_score_antidiagonal
 
@@ -143,6 +148,107 @@ def _assert_sweeps_match_scalar(query, subjects, matrix, gaps, strip_width):
     )
     assert rows.tolist() == expected
     assert strips.tolist() == expected
+
+
+def _locals_at_return(fn, *args):
+    """Call ``fn(*args)``; return its result and its frame's locals as
+    it returns."""
+    seen = {}
+
+    def trace_calls(frame, event, arg):
+        if frame.f_code is not fn.__code__:
+            return None
+
+        def trace_lines(frame, event, arg):
+            if event == "return":
+                seen.update(frame.f_locals)
+            return trace_lines
+
+        return trace_lines
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, seen
+
+
+def _buffer_dtypes(frame, ndim):
+    """Dtypes of the integer ``ndim``-D arrays in ``frame``, other than
+    the ``intp`` gather index ``codes``."""
+    return {
+        name: value.dtype
+        for name, value in frame.items()
+        if isinstance(value, np.ndarray)
+        and value.ndim == ndim
+        and value.dtype.kind in "iu"
+        and name != "codes"
+    }
+
+
+class TestWorkingBuffersStayInRung:
+    """The sweeps' working buffers still have their rung's or tier's
+    dtype when the sweep returns.  A rebinding such as
+    ``f_prev = f_prev - np.int64(sigma)`` widens the row sweep's int16
+    rung to int64 and leaves every score exact, so only a dtype check
+    catches it."""
+
+    @pytest.mark.parametrize(
+        "gaps", [GP, GapPenalty(rho=2**20, sigma=2**20)],
+        ids=["int16", "wide"],
+    )
+    @pytest.mark.parametrize("sweep", ["row", "strip"])
+    def test_buffers_keep_the_rung_dtype(self, sweep, gaps):
+        rng = np.random.default_rng(11)
+        query = Sequence.random("q", 20, rng)
+        subjects = [
+            Sequence.random(f"d{i}", n, rng)
+            for i, n in enumerate([3, 17, 30])
+        ]
+        profile = QueryProfile(query.codes, BLOSUM62)
+        if sweep == "row":
+            fn, group, width = score_packed_group, _group(subjects), 30
+        else:
+            fn, width = score_packed_group_strips, 8
+            group = _group(subjects, "strips", width)
+        max_abs = int(np.abs(profile.scores).max())
+        expected = _working_dtype(20, width, max_abs, gaps)
+        assert (expected is np.int16) == (gaps is GP)
+        scores, frame = _locals_at_return(fn, profile, group, gaps)
+        assert scores.tolist() == [
+            sw_score_scalar(query, d, BLOSUM62, gaps) for d in subjects
+        ]
+        buffers = _buffer_dtypes(frame, 2)
+        assert len(buffers) >= 5, buffers
+        assert all(dtype == expected for dtype in buffers.values()), buffers
+
+    @pytest.mark.parametrize("tier", [8, 16])
+    def test_striped_tier_state_keeps_the_tier_dtype(self, tier):
+        rng = np.random.default_rng(12)
+        query = Sequence.random("q", 20, rng)
+        subjects = [
+            Sequence.random(f"d{i}", n, rng)
+            for i, n in enumerate([3, 17, 30])
+        ]
+        profile = StripedProfile(query.codes, BLOSUM62)
+        prof, bias, cap = (
+            (profile.profile8, profile.bias, profile.cap8)
+            if tier == 8
+            else (profile.profile16, 0, profile.cap16)
+        )
+        group = _group(subjects, "striped")
+        (lanes, _), frame = _locals_at_return(
+            _lazy_f_sweep, group.codes, prof, GP, bias, cap
+        )
+        assert lanes.tolist() == [
+            min(sw_score_scalar(query, d, BLOSUM62, GP), cap)
+            for d in subjects
+        ]
+        buffers = _buffer_dtypes(frame, 3)
+        assert len(buffers) >= 8, buffers
+        assert all(dtype == prof.dtype for dtype in buffers.values()), buffers
 
 
 class TestRungBoundaryScores:

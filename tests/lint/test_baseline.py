@@ -84,42 +84,6 @@ class TestFingerprintStability:
         assert len(new) == 1
 
 
-class TestLegacyBaseline:
-    """Version-1 files (rule+path+message keys) still absorb findings."""
-
-    def _write_v1(self, path, finding):
-        key = finding.legacy_fingerprint()
-        path.write_text(json.dumps({
-            "schema": BASELINE_SCHEMA,
-            "version": 1,
-            "findings": {
-                key: {
-                    "rule": finding.rule_id,
-                    "path": finding.path,
-                    "message": finding.message,
-                    "count": 1,
-                },
-            },
-        }))
-
-    def test_v1_file_absorbs_matching_finding(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        finding = make_finding(qualname="sweep", context="h = np.zeros(n)")
-        self._write_v1(path, finding)
-        new, absorbed = Baseline.load(path).filter([finding])
-        assert new == []
-        assert absorbed == 1
-
-    def test_rewrite_migrates_v1_to_current(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        finding = make_finding(qualname="sweep", context="h = np.zeros(n)")
-        self._write_v1(path, finding)
-        Baseline().write(path, [finding])
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 2
-        assert finding.fingerprint() in doc["findings"]
-
-
 class TestSchema:
     def test_document_shape(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -147,4 +111,16 @@ class TestSchema:
         path = tmp_path / "other.json"
         path.write_text('{"schema": "something.else", "findings": {}}')
         with pytest.raises(ValueError, match="not a lint baseline"):
+            Baseline.load(path)
+
+    def test_other_version_is_rejected(self, tmp_path):
+        # A version-1 file (rule+path+message keys) is refused, not
+        # migrated: --update-baseline regenerates it.
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({
+            "schema": BASELINE_SCHEMA,
+            "version": 1,
+            "findings": {"0123456789abcdef": {"count": 1}},
+        }))
+        with pytest.raises(ValueError, match="version=1"):
             Baseline.load(path)

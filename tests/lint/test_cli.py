@@ -135,7 +135,3 @@ class TestOnTheRealTree:
         # baseline).
         code, out, _ = invoke("--root", str(REPO_ROOT), "src/")
         assert code == cli.EXIT_CLEAN, out
-
-    def test_self_lints_clean(self):
-        code, out, _ = invoke("--root", str(REPO_ROOT), "--self")
-        assert code == cli.EXIT_CLEAN, out

@@ -3,9 +3,12 @@ case: a counter added to the code without a docs/observability.md entry
 must produce a finding."""
 
 import textwrap
+from pathlib import Path
 
 from repro.lint.rules.registry import CounterRegistryRule, parse_registry
 from repro.lint.runner import LintRunner
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 REGISTRY_DOC = textwrap.dedent(
     """
@@ -156,6 +159,31 @@ class TestCollection:
             + "        tracer = object()\n",
         )
         assert findings == []
+
+
+class TestPartialTree:
+    """Stale rows are judged only when the whole package was linted."""
+
+    def test_one_engine_file_reports_no_stale_rows(self):
+        runner = LintRunner(REPO_ROOT, rules=[CounterRegistryRule()])
+        assert runner.run_paths(["src/repro/engine/lanes.py"]).findings == []
+
+    def test_full_tree_flags_row_whose_counter_was_deleted(self):
+        sources = {
+            path.relative_to(REPO_ROOT).as_posix(): path.read_text(
+                encoding="utf-8"
+            )
+            for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+        }
+        lanes = "src/repro/engine/lanes.py"
+        emit = 'instr.count("engine.sweep.int16_groups", 1)'
+        assert emit in sources[lanes]
+        sources[lanes] = sources[lanes].replace(emit, "pass")
+        runner = LintRunner(REPO_ROOT, rules=[CounterRegistryRule()])
+        (finding,) = runner.run_sources(sources).findings
+        assert finding.path == "docs/observability.md"
+        assert "'engine.sweep.int16_groups'" in finding.message
+        assert "stale documentation" in finding.message
 
 
 class TestParseRegistry:
