@@ -1,9 +1,9 @@
 """Memory budgeting for group packing: split instead of OOM.
 
-The lane sweep materializes six ``(size, max_len)`` working arrays per
-group (H double-buffer, F, Htmp, the scan buffer and the similarity
-gather) plus an ``intp`` gather index on top of the ``uint8`` code
-matrix — see
+The lane sweep materializes seven ``(max_len + 1, size)`` working
+arrays per group (H, F, Htmp, the prefix scan's two buffers, the
+running maximum and the gap ramp) plus an ``intp`` gather index on top
+of the ``uint8`` code matrix — see
 :func:`~repro.engine.lanes.score_packed_group`.  A titin-class tail
 group in a wide packing can therefore allocate hundreds of megabytes at
 once, and on a memory-capped host the kernel's OOM killer ends the
@@ -38,19 +38,21 @@ __all__ = [
     "estimate_strip_group_bytes",
 ]
 
-#: Estimated working-set bytes per padded lane cell: six int64
-#: ``(size, max_len)`` sweep buffers (the worst-case dtype), the 8-byte
-#: gather index and the uint8 code matrix (57 bytes), rounded up for
-#: interpreter slack.  Deliberately conservative — the budget is an OOM
-#: guard, not an allocator.
-SWEEP_BYTES_PER_CELL = 64
+#: Estimated working-set bytes per padded lane cell: seven int64
+#: ``(max_len + 1, size)`` sweep buffers (the worst-case dtype: H, F,
+#: Htmp, the prefix scan's two buffers, the running maximum and the
+#: gap ramp), the 8-byte gather index and the uint8 code matrix (65
+#: bytes), rounded up for what the search holds beside the sweep (the
+#: database and its packed groups).  A 128 x 900-1,000 aa group peaks
+#: at about 74 bytes per cell in the int64 rung.  Deliberately
+#: conservative — the budget is an OOM guard, not an allocator.
+SWEEP_BYTES_PER_CELL = 80
 
-#: The strip-sweep engine keeps more live ``(strips, width)`` buffers
-#: per row than the rectangle sweep (H, F, Htmp, the diagonal shift,
-#: the scan buffer, the E candidate and the similarity gather: seven
-#: int64 buffers plus the 8-byte gather index, 64 bytes), so its
-#: per-strip-cell estimate is half again the rectangle figure.
-STRIP_SWEEP_BYTES_PER_CELL = 96
+#: The strip sweep keeps the same seven int64 ``(width, strips)``
+#: buffers and the 8-byte gather index per strip cell, so it takes the
+#: rectangle figure.  A 128 x 900-1,000 aa group tiled at the default
+#: width peaks at about 67 bytes per strip cell in the int64 rung.
+STRIP_SWEEP_BYTES_PER_CELL = SWEEP_BYTES_PER_CELL
 
 
 def estimate_group_bytes(size: int, max_length: int) -> int:

@@ -69,13 +69,15 @@ __all__ = [
 # every 128-lane group of the bench databases ``bulk_fasta``,
 # ``tail_store_fanned`` and ``cli_small``, plus their 1, 4, 12 and 32
 # longest sequences, at m = 40-800, on a 2-CPU x86-64 host (numpy 2.4);
-# ``tools/fit_kernel_costs.py`` repeats the fit.
-GOTOH_CELL_COST = 7.2  # per cell of the padded lanes x max_len rectangle
-GOTOH_ROW_OVERHEAD = 17_000.0
-STRIPED_CELL_COST = 4.8  # per cell of the lanes x m striped query block
-STRIPED_COLUMN_OVERHEAD = 43_000.0
-STRIP_CELL_COST = 7.0  # per strip-swept cell, ceil(len / W) * W a lane
-STRIP_ROW_OVERHEAD = 28_000.0
+# ``tools/fit_kernel_costs.py`` repeats the fit.  The model is blind to
+# the working dtype: gotoh sweeps the int32 rung's wide groups past
+# ~2,000 columns at 10-12 ns a cell, more than twice its fitted cost.
+GOTOH_CELL_COST = 4.5  # per cell of the padded lanes x max_len rectangle
+GOTOH_ROW_OVERHEAD = 29_600.0
+STRIPED_CELL_COST = 4.7  # per cell of the lanes x m striped query block
+STRIPED_COLUMN_OVERHEAD = 46_500.0
+STRIP_CELL_COST = 4.2  # per strip-swept cell, ceil(len / W) * W a lane
+STRIP_ROW_OVERHEAD = 41_900.0
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,14 @@ library) expressed in NumPy: lane ``k`` of a :class:`PackedGroup` holds
 database sequence ``k``, and each iteration of the single Python loop
 advances *every* lane by one query row.  For a group of ``s`` sequences
 of padded length ``L`` against a query of length ``m``, the whole group
-costs ``m`` vectorized steps over ``(s, L)`` arrays — versus
+costs ``m`` vectorized steps over ``(L + 1, s)`` arrays — versus
 ``s * (m + n)`` interpreter steps for the per-pair wavefront aligner.
+
+The working buffers are laid out lanes-innermost, ``(L + 1, s)``: row
+``j`` holds column ``j`` of every lane side by side, the way CUDASW++'s
+inter-task kernel interleaves its sequences so a warp's loads coalesce.
+Every shift along the row (the diagonal ``H[i-1][j-1]``, the E
+candidate's ``j - 1``) is then one contiguous block of memory.
 
 Within a row the horizontal gap state ``E`` has a sequential dependency
 (``E[i][j]`` needs ``E[i][j-1]``), which would force a per-column Python
@@ -19,10 +25,16 @@ directly from ``Htmp = max(0, F, H_diag + W)`` — the row's H values
     E[i][j] = max_{k < j} ( Htmp[k] - rho - (j-1-k) * sigma )
             = max_{k <= j-1} ( Htmp[k] + k*sigma ) - rho - (j-1)*sigma
 
-i.e. a prefix maximum of ``Htmp + k*sigma`` along the row, computed for
-all lanes with one ``np.maximum.accumulate``.  (Routing a gap through a
-cell whose H came from E would pay ``rho`` twice where extending the
+i.e. a prefix maximum of ``Htmp + k*sigma`` down the row, taken for all
+lanes at once by :func:`_prefix_max`.  (Routing a gap through a cell
+whose H came from E would pay ``rho`` twice where extending the
 original gap pays ``sigma`` — never better when ``sigma <= rho``.)
+With the lanes innermost, that scan can be a Hillis–Steele doubling
+scan (Snytsar's log-step lazy-F form): ``ceil(log2(L + 1))``
+elementwise maxima of contiguous blocks, each over every lane, instead
+of one ``np.maximum.accumulate`` that walks the row element by
+element.  A rule on lane count and dtype (:data:`_DOUBLING_MIN_LANES`)
+picks the faster of the two per group.
 
 Padded columns read a sentinel similarity of ``-(m * |W|_max + 1)``, so
 ``H_diag + W`` is negative there; padded cells can only relay (decayed)
@@ -42,6 +54,57 @@ from repro.sequence.profile import QueryProfile
 from repro.sw.utils import validate_penalties
 
 __all__ = ["score_packed_group", "padded_lane_profile", "count_sweep_work"]
+
+#: Fewest lanes at which :func:`_prefix_max` takes the doubling scan
+#: over ``np.maximum.accumulate(axis=0)``, by working dtype; the int64
+#: rung always accumulates.  The accumulate costs about 3 ns per element
+#: at any lane count and dtype.  The doubling scan makes ``log2`` passes
+#: over the buffer and pays a call per pass, so it needs enough lanes
+#: per row to amortize both.  Measured on a 2-CPU x86-64 host (numpy
+#: 2.4), the scan alone over 512-2,500 rows: doubling wins from about
+#: 16 lanes in int16 (1.6-2.3 against 3.1-3.4 ns/element at 16 lanes,
+#: 0.8-1.3 against 2.9-3.3 at 128) and from 32 in int32 (2.1-2.3
+#: against 2.7-2.9 at 32 lanes); on 256 rows both need twice the lanes.
+#: It loses badly on a one-lane group (13-83 against 4-10).  In int64
+#: it breaks even at best (3.5 against 3.6 at 64 lanes); the rung needs
+#: penalties near the validation cap, hence long rows, and there whole
+#: gotoh sweeps ran up to 28% slower with it at 64 and 128 lanes over
+#: 1,000-2,500 columns.
+_DOUBLING_MIN_LANES: dict[np.dtype, int] = {
+    np.dtype(np.int16): 16,
+    np.dtype(np.int32): 32,
+}
+
+
+def _takes_doubling(lanes: int, dtype: np.dtype | type) -> bool:
+    """Whether :func:`_prefix_max` scans ``lanes``-wide rows of
+    ``dtype`` with the doubling scan."""
+    return lanes >= _DOUBLING_MIN_LANES.get(np.dtype(dtype), np.inf)
+
+
+def _prefix_max(g: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Inclusive prefix maximum of ``g`` down axis 0, lane by lane.
+
+    ``g`` and ``spare`` are the calling sweep's two ``(n, lanes)``
+    scratch buffers; both are clobbered, and the returned one holds the
+    scan.  Groups the :data:`_DOUBLING_MIN_LANES` rule sends to the
+    doubling scan ping-pong between the two buffers: step ``k`` folds
+    each row ``j >= k`` with row ``j - k``, ``ceil(log2 n)`` steps in
+    all.  The rest take ``np.maximum.accumulate`` in place.
+    """
+    n, lanes = g.shape
+    if not _takes_doubling(lanes, g.dtype):
+        # The sweep hands both buffers over for the scan.
+        np.maximum.accumulate(g, axis=0, out=g)  # repro-lint: disable=RPL101
+        return g
+    src, dst = g, spare
+    k = 1
+    while k < n:
+        dst[:k] = src[:k]
+        np.maximum(src[k:], src[:-k], out=dst[k:])
+        src, dst = dst, src
+        k *= 2
+    return src
 
 
 def count_sweep_work(
@@ -140,51 +203,58 @@ def score_packed_group(
     pp = padded_lane_profile(profile, group.pad_code).astype(
         dtype, copy=False
     )
-    #: The gather index, widened once: ``np.take`` would otherwise
-    #: convert the uint8 codes to ``intp`` again on every query row.
-    codes = group.codes.astype(np.intp)
+    #: The gather index, transposed to the lanes-innermost layout and
+    #: widened once: ``np.take`` would otherwise convert the uint8
+    #: codes to ``intp`` again on every query row.
+    codes = np.ascontiguousarray(group.codes.T, dtype=np.intp)
 
     #: -inf stand-in for the F boundary: deep enough that m rows of
     #: sigma-decay still lose to any reachable alternative.
     neg = dtype(-(m * max_abs + rho + sigma * (m + 2)))
-    ramp = (sigma * np.arange(L + 1, dtype=np.int64)).astype(dtype)
-    e_off = (rho + ramp[:L]).astype(dtype)  # rho + (j-1)*sigma at column j
-
-    h_prev = np.zeros((s, L + 1), dtype=dtype)  # H of row i-1 (col 0 = boundary)
-    f_prev = np.full((s, L + 1), neg, dtype=dtype)  # F of row i-1
-    h_cur = np.empty_like(h_prev)
-    htmp = np.empty_like(h_prev)  # max(0, F, H_diag + W): H before E
+    # Row j of each (L + 1, s) buffer is column j of every lane; row 0
+    # is the boundary column.
+    #: j * sigma in row j, stored for every lane: broadcasting one
+    #: column over a narrow group's rows costs more than reading it.
+    ramp = np.repeat(
+        (sigma * np.arange(L + 1, dtype=np.int64)).astype(dtype)[:, None],
+        s, axis=1,
+    )
+    h_prev = np.zeros((L + 1, s), dtype=dtype)  # H of row i-1, then row i
+    f_prev = np.full((L + 1, s), neg, dtype=dtype)  # F of row i-1
+    htmp = np.zeros_like(h_prev)  # max(0, F, H_diag + W): H before E
     g = np.empty_like(h_prev)  # scan buffer
-    sub = np.empty((s, L), dtype=dtype)
-    best = np.zeros(s, dtype=dtype)
+    spare = np.empty_like(h_prev)  # the doubling scan's second buffer
+    best = np.zeros_like(h_prev)  # running elementwise maximum of Htmp
 
     for i in range(m):
         # F[i] = max(F[i-1] - sigma, H[i-1] - rho), elementwise per lane.
-        # h_cur is dead until this row's H overwrites all of it below,
-        # so it doubles as the H - rho scratch.
+        # g is dead until the scan input overwrites all of it below, so
+        # it doubles as the H - rho scratch.
         np.subtract(f_prev, sigma, out=f_prev)
-        np.subtract(h_prev, rho, out=h_cur)
-        np.maximum(f_prev, h_cur, out=f_prev)
-        # Similarity of query row i against every lane column: one gather.
-        # PackedGroup guarantees every code is <= pad_code, so "clip"
-        # never clips; unlike "raise" it writes straight into ``sub``
-        # instead of through a temporary of the same size.
-        np.take(pp[i], codes, out=sub, mode="clip")
+        np.subtract(h_prev, rho, out=g)
+        np.maximum(f_prev, g, out=f_prev)
         # Htmp = max(0, F, H[i-1][j-1] + W) — H with E not yet folded in.
-        np.add(h_prev[:, :L], sub, out=htmp[:, 1:])
-        np.maximum(htmp[:, 1:], f_prev[:, 1:], out=htmp[:, 1:])
-        np.maximum(htmp[:, 1:], 0, out=htmp[:, 1:])
-        htmp[:, 0] = 0
-        # The row maximum of H equals the row maximum of Htmp: E only
-        # relays Htmp values minus gap penalties, so folding it in can
-        # never raise the maximum.
-        np.maximum(best, htmp.max(axis=1), out=best)
-        # E via the prefix-max scan, then H = max(Htmp, E).
+        # The similarity of query row i against every lane column is one
+        # gather straight into Htmp: PackedGroup guarantees every code
+        # is <= pad_code, so "clip" never clips, and unlike "raise" it
+        # writes into the contiguous block without a temporary.
+        np.take(pp[i], codes, out=htmp[1:], mode="clip")
+        np.add(htmp[1:], h_prev[:L], out=htmp[1:])
+        np.maximum(htmp[1:], f_prev[1:], out=htmp[1:])
+        np.maximum(htmp[1:], 0, out=htmp[1:])
+        # The maximum of H equals the maximum of Htmp: E only relays
+        # Htmp values minus gap penalties, so folding it in can never
+        # raise it.  An elementwise running maximum, reduced once at the
+        # end, is one contiguous pass; a per-row reduction down axis 0
+        # costs up to 12 ns a cell on a narrow group.
+        np.maximum(best, htmp, out=best)
+        # E[j] = scan[j - 1] - (j - 1) * sigma - rho from the prefix-max
+        # scan, then H = max(Htmp, E) into h_prev, whose row i-1 was
+        # fully consumed above (its boundary row 0 stays zero).
         np.add(htmp, ramp, out=g)
-        np.maximum.accumulate(g, axis=1, out=g)
-        np.subtract(g[:, :L], e_off, out=h_cur[:, 1:])
-        np.maximum(h_cur[:, 1:], htmp[:, 1:], out=h_cur[:, 1:])
-        h_cur[:, 0] = 0
-        h_prev, h_cur = h_cur, h_prev
+        scan = _prefix_max(g, spare)
+        np.subtract(scan[:L], ramp[:L], out=h_prev[1:])
+        np.subtract(h_prev[1:], rho, out=h_prev[1:])
+        np.maximum(h_prev[1:], htmp[1:], out=h_prev[1:])
 
-    return best.astype(np.int64)
+    return best.max(axis=0).astype(np.int64)

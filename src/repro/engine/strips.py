@@ -10,27 +10,32 @@ subject* into fixed-size strips processed by one cooperating block.
 This module is that tiling in NumPy lane form.  Each subject of length
 ``L`` is cut into ``ceil(L / W)`` column strips of fixed width ``W``
 (:data:`DEFAULT_STRIP_WIDTH`); every strip becomes one lane of a
-``(total_strips, W)`` code matrix, so the padding per subject is bounded
+``(W, total_strips)`` code matrix, so the padding per subject is bounded
 by ``W - 1`` cells **regardless of its length** — a 3,597-residue tail
 subject takes 8 strips of 512 (4,096 cells, about 88% useful) instead
 of dragging a whole group down to its width.  One Python step per query
 row advances *every strip of every subject* at once, exactly like the
-row sweep of :mod:`~repro.engine.lanes`.
+row sweep of :mod:`~repro.engine.lanes`, and in its lanes-innermost
+layout: row ``j`` of each buffer is in-strip column ``j`` of every
+strip, so in-strip shifts are contiguous blocks.
 
 Strips of one subject are not independent: within a DP row, H and E flow
 across the strip boundary.  Both dependencies close in the same scan
 forms the engine already uses:
 
 * the *diagonal* term of strip ``s``'s column 0 is simply the previous
-  row's value at strip ``s - 1``'s last column — a shifted gather;
+  row's value at strip ``s - 1``'s last column — a shifted copy of one
+  buffer row;
 * the *horizontal* gap term uses the Gotoh scan identity
   (``E[i][c] = max_{k<c}(Htmp[k] + k*sigma) - rho - (c-1)*sigma``,
   valid because ``sigma <= rho``): an in-strip prefix maximum of
-  ``Htmp + j*sigma`` per strip, then one **segmented** prefix maximum
-  over the per-strip boundary values — offset by ``s * W * sigma`` so
-  decay across whole strips is exact, and biased by a per-sequence ramp
-  so one ``np.maximum.accumulate`` cannot leak a carry from one
-  subject's strips into the next's.
+  ``Htmp + j*sigma`` per strip (the row sweep's
+  :func:`~repro.engine.lanes._prefix_max`, a doubling scan once there
+  are enough strips), then one **segmented** prefix maximum over the
+  per-strip boundary values — offset by ``s * W * sigma`` so decay
+  across whole strips is exact, and biased by a per-sequence ramp so
+  one ``np.maximum.accumulate`` cannot leak a carry from one subject's
+  strips into the next's.
 
 The vertical gap chain F never crosses a strip boundary (strips tile
 *columns*), so it stays elementwise.  Padded cells sit only in each
@@ -45,7 +50,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.alphabet import GapPenalty
-from repro.engine.lanes import _working_dtype, padded_lane_profile
+from repro.engine.lanes import (
+    _prefix_max,
+    _working_dtype,
+    padded_lane_profile,
+)
 from repro.engine.pack import DEFAULT_STRIP_WIDTH, PackedGroup
 from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.profile import QueryProfile
@@ -69,6 +78,26 @@ def plan_strip_counts(
     lengths = np.asarray(lengths, dtype=np.int64)
     counts = (lengths + strip_width - 1) // strip_width
     return np.maximum(counts, 1)
+
+
+def _strip_tiles(
+    group: PackedGroup, w: int, offsets: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The ``(W, strips)`` gather index of a group's strip tiling.
+
+    Column ``s`` is one strip lane: subject ``q``'s true residues,
+    flattened across its ``counts[q]`` strips from ``offsets[q]`` on,
+    pad codes after them.  Built ``intp`` once rather than converted
+    from uint8 on every query row.
+    """
+    tiles = np.full((int(offsets[-1]), w), group.pad_code, dtype=np.intp)
+    for q in range(group.size):
+        length = int(group.lengths[q])
+        s0 = int(offsets[q])
+        tiles[s0 : s0 + int(counts[q])].reshape(-1)[:length] = (
+            group.codes[q, :length]
+        )
+    return np.ascontiguousarray(tiles.T)
 
 
 def count_strips_work(
@@ -109,7 +138,7 @@ def score_packed_group_strips(
     ``int64`` array of ``group.size`` scores in lane order,
     bit-identical to :func:`~repro.engine.lanes.score_packed_group`.
 
-    The ``(strips, W)`` buffers take their dtype from
+    The ``(W, strips)`` buffers take their dtype from
     :func:`~repro.engine.lanes._working_dtype` at the strip width ``W``,
     not at the tiled row length: everything that crosses a strip
     boundary (the whole-strip decay ``off``, the segmentation bias and
@@ -117,23 +146,24 @@ def score_packed_group_strips(
     the largest similarity magnitude) and
     ``neg = -(M + rho + sigma * (m + 2))`` the narrow intermediates are
 
-    * similarity gather ``sub`` and profile ``pp``: ``[-(M + 1), M]``
-      (the pad sentinel is ``-(M + 1)``);
-    * H (``h_prev``, ``diag``): ``[0, M]``; ``Htmp``: ``[0, M]`` after
-      its clamp, ``[-(M + 1), 2M]`` before;
-    * ``H - rho`` (F's scratch, held in ``diag``): ``[-rho, M]``;
+    * the profile ``pp`` and the similarity gathered into ``htmp``:
+      ``[-(M + 1), M]`` (the pad sentinel is ``-(M + 1)``);
+    * H (``h_prev`` at the end of a row, and ``wrap``): ``[0, M]``;
+      ``Htmp``: ``[0, M]`` after its clamp, ``[-(M + 1), 2M]`` before;
+    * ``H - rho`` (F's scratch, held in ``g``): ``[-rho, M]``;
     * F: ``neg - sigma`` on row 0, ``[-rho - sigma, M]`` after;
-    * in-strip scan ``g``: ``[0, M + (W - 1) * sigma]``;
-    * ``carry_col``: an earlier strip's ``g`` decayed by whole strips,
-      clipped from below at ``neg`` in int64 before the cast, so
-      ``[neg, M + (W - 1) * sigma]``;
-    * ``ecand``: ``max(g[j - 1] or neg, carry)`` minus
-      ``e_off[j] = rho + (j - 1) * sigma``.  Its low extreme is
-      ``ecand[:, 0] = neg - e_off[0] = -(M + 2 * rho + sigma * (m + 1))``,
-      its high one ``M + W * sigma``.
+    * in-strip scan (``g``, ``spare``): ``[0, M + (W - 1) * sigma]``;
+    * the carry cast into ``h_prev[0]``: an earlier strip's scan value
+      decayed by whole strips, clipped from below at ``neg`` in int64
+      before the cast, so ``[neg, M + (W - 1) * sigma]``;
+    * the E candidate built in ``h_prev``: ``max(G[j - 1] or neg,
+      carry)`` minus ``j * sigma`` (``[neg, M + (W - 1) * sigma]``),
+      then minus ``rho - sigma``.  Its low extreme is
+      ``neg - rho + sigma = -(M + 2 * rho + sigma * (m + 1))`` in
+      column 0, its high one below ``M + W * sigma``.
 
     ``_working_dtype``'s ``bound = 2M + rho + sigma * (W + 2m + 4)``
-    exceeds every magnitude but the ``ecand[:, 0]`` one, which stays
+    exceeds every magnitude but the column-0 E candidate's, which stays
     below ``bound + rho < 2 * bound``: inside the dtype, because each
     narrow rung keeps ``bound`` below half its range.
     """
@@ -169,16 +199,7 @@ def score_packed_group_strips(
         if dtype is np.int16:
             instr.count("engine.strips.int16_groups", 1)
 
-    # Re-tile: subject q's true residues, flattened across its strips.
-    # The tiles are the gather index, so they are built as ``intp``
-    # once rather than converted from uint8 on every query row.
-    codes = np.full((total, w), group.pad_code, dtype=np.intp)
-    for q in range(n):
-        length = int(lengths[q])
-        s0 = int(offsets[q])
-        k = int(counts[q])
-        codes[s0 : s0 + k].reshape(-1)[:length] = group.codes[q, :length]
-
+    codes = _strip_tiles(group, w, offsets, counts)
     pp = padded_lane_profile(profile, group.pad_code)
     pp = pp.astype(dtype, copy=False)
 
@@ -186,12 +207,12 @@ def score_packed_group_strips(
     #: sweep's F seed).
     neg = dtype(-(m * max_abs + rho + sigma * (m + 2)))
     neg64 = np.int64(int(neg))
-    rampw = (sigma * np.arange(w, dtype=np.int64)).astype(dtype)
-    #: rho + (j-1)*sigma at in-strip column j (j=0 pairs with the carry
-    #: term, whose strip-boundary crossing is the "-1" column).
-    e_off = (
-        rho - sigma + sigma * np.arange(w, dtype=np.int64)
-    ).astype(dtype)
+    #: j * sigma in row j, stored for every strip lane: broadcasting one
+    #: column over a few strips' rows costs more than reading it.
+    rampw = np.repeat(
+        (sigma * np.arange(w, dtype=np.int64)).astype(dtype)[:, None],
+        total, axis=1,
+    )
     #: Whole-strip decay offset of strip s's boundary value:
     #: local_strip * W * sigma (int64 — can exceed a narrow dtype for
     #: adversarial penalties).
@@ -210,47 +231,50 @@ def score_packed_group_strips(
     )
     seg_pen = big * seq_of
 
-    h_prev = np.zeros((total, w), dtype=dtype)  # H of row i-1
-    f = np.full((total, w), neg, dtype=dtype)
+    # Row j of each (W, strips) buffer is in-strip column j of every
+    # strip lane.
+    h_prev = np.zeros((w, total), dtype=dtype)  # H of row i-1, then row i
+    f = np.full((w, total), neg, dtype=dtype)
     htmp = np.empty_like(h_prev)  # max(0, F, H_diag + W): H before E
-    diag = np.empty_like(h_prev)
     g = np.empty_like(h_prev)  # in-strip scan buffer
-    ecand = np.empty_like(h_prev)
-    sub = np.empty((total, w), dtype=dtype)
-    bests = np.zeros(total, dtype=dtype)  # per-strip Htmp maxima
+    spare = np.empty_like(h_prev)  # the doubling scan's second buffer
+    wrap = np.zeros(total, dtype=dtype)  # diagonal of in-strip column 0
+    best = np.zeros_like(h_prev)  # running elementwise maximum of Htmp
     bshift = np.empty(total, dtype=np.int64)
     key = np.empty(total, dtype=np.int64)
     carry = np.empty(total, dtype=np.int64)
-    carry_col = np.empty((total, 1), dtype=dtype)
 
     for i in range(m):
         # F[i] = max(F[i-1] - sigma, H[i-1] - rho): vertical chains live
         # inside a column, so strips tile them without any boundary.
-        # diag is dead until its full rewrite below, so it holds H - rho.
+        # g is dead until the scan input overwrites it, so it holds
+        # H - rho.
         np.subtract(f, sigma, out=f)
-        np.subtract(h_prev, rho, out=diag)
-        np.maximum(f, diag, out=f)
-        # Similarity of query row i against every strip column ("clip"
-        # as in the row sweep: in range, and no temporary).
-        np.take(pp[i], codes, out=sub, mode="clip")
-        # Diagonal H[i-1][c-1]: in-strip shift; column 0 wraps from the
-        # previous strip's last column (zero at each subject's strip 0).
-        diag[:, 1:] = h_prev[:, :-1]
-        diag[1:, 0] = h_prev[:-1, -1]
-        diag[first, 0] = 0
-        np.add(diag, sub, out=htmp)
+        np.subtract(h_prev, rho, out=g)
+        np.maximum(f, g, out=f)
+        # Similarity of query row i against every strip column, gathered
+        # straight into Htmp ("clip" as in the row sweep: in range, and
+        # no temporary), plus the diagonal H[i-1][c-1]: an in-strip
+        # shift, and in column 0 a wrap from the previous strip's last
+        # column (zero at each subject's strip 0).
+        np.take(pp[i], codes, out=htmp, mode="clip")
+        np.add(htmp[1:], h_prev[:-1], out=htmp[1:])
+        wrap[1:] = h_prev[-1, :-1]
+        wrap[first] = 0
+        np.add(htmp[0], wrap, out=htmp[0])
         np.maximum(htmp, f, out=htmp)
         np.maximum(htmp, 0, out=htmp)
         # The sequence maximum of H equals the sequence maximum of Htmp
-        # (E and the carries only relay decayed Htmp values), so the
-        # per-strip running maxima reduce exactly at the end.
-        np.maximum(bests, htmp.max(axis=1), out=bests)
+        # (E and the carries only relay decayed Htmp values), so an
+        # elementwise running maximum reduces exactly at the end, per
+        # strip and then per subject.
+        np.maximum(best, htmp, out=best)
         # In-strip inclusive prefix maximum of Htmp + j*sigma.
         np.add(htmp, rampw, out=g)
-        np.maximum.accumulate(g, axis=1, out=g)
+        scan = _prefix_max(g, spare)
         # Cross-strip carry: exclusive segmented prefix maximum of each
         # strip's boundary value B[s] = G[s, -1] + s_local * W * sigma.
-        np.add(g[:-1, -1], off[:-1], out=bshift[1:])
+        np.add(scan[-1, :-1], off[:-1], out=bshift[1:])
         bshift[0] = neg64
         bshift[first] = neg64
         np.add(bshift, seg_pen, out=key)
@@ -258,17 +282,19 @@ def score_packed_group_strips(
         np.subtract(key, seg_pen, out=carry)
         np.subtract(carry, off, out=carry)  # into strip-local terms
         np.maximum(carry, neg64, out=carry)  # clip leaked/-inf values
-        np.copyto(carry_col[:, 0], carry, casting="unsafe")
-        # E candidate at in-strip column j:
-        #   max(G[s, j-1], carry[s]) - (rho + (j-1)*sigma).
-        ecand[:, 1:] = g[:, :-1]
-        ecand[:, 0] = neg
-        np.maximum(ecand, carry_col, out=ecand)
-        np.subtract(ecand, e_off, out=ecand)
-        # H row i = max(Htmp, E); h_prev is fully consumed above.
-        np.maximum(ecand, htmp, out=h_prev)
+        # E candidate at in-strip column j, built in h_prev (fully
+        # consumed above):
+        #   max(G[s, j-1], carry[s]) - j*sigma - (rho - sigma),
+        # where column 0 has no in-strip G (its carry term crosses the
+        # strip boundary, the "-1" column) and the clip keeps
+        # carry >= neg.  Then H row i = max(Htmp, E).
+        np.copyto(h_prev[0], carry, casting="unsafe")
+        np.maximum(scan[:-1], h_prev[0], out=h_prev[1:])
+        np.subtract(h_prev, rampw, out=h_prev)
+        np.subtract(h_prev, rho - sigma, out=h_prev)
+        np.maximum(h_prev, htmp, out=h_prev)
 
     scores: np.ndarray = np.maximum.reduceat(
-        bests.astype(np.int64), offsets[:-1]
+        best.max(axis=0).astype(np.int64), offsets[:-1]
     )
     return scores

@@ -140,27 +140,42 @@ class TestEstimateCoversSweep:
     the int64 rung, where every working buffer is widest."""
 
     @pytest.mark.parametrize(
-        "config",
+        "config, query_length, kernel",
         [
-            SearchConfig(group_size=128),
-            SearchConfig(engine="hetero", split_threshold=0, group_size=128),
+            # No tail, and a 100-aa query short enough that the cost
+            # model plans the bulk gotoh (at 400 aa it picks striped).
+            (
+                SearchConfig(
+                    engine="hetero", split_threshold=1000, group_size=128
+                ),
+                100, "gotoh",
+            ),
+            (
+                SearchConfig(engine="hetero", split_threshold=0, group_size=128),
+                400, "strips",
+            ),
         ],
         ids=["gotoh", "strips"],
     )
-    def test_no_underestimate_in_the_int64_rung(self, config):
+    def test_no_underestimate_in_the_int64_rung(
+        self, config, query_length, kernel
+    ):
         rng = np.random.default_rng(43)
         db = Database.from_sequences(
             [Sequence.random(f"s{i}", int(n), rng)
              for i, n in enumerate(rng.integers(900, 1000, size=128))]
         )
-        query = random_protein(400, rng)
-        # Penalties at the validation cap push both sweeps past int32,
-        # at the group's width and at the default strip width alike.
+        query = random_protein(query_length, rng)
+        # Penalties at the validation cap push the sweep past int32, at
+        # the group's width or at the default strip width.
         gaps = GapPenalty(rho=2**20, sigma=2**20)
-        for width in (int(db.lengths.max()), DEFAULT_STRIP_WIDTH):
-            assert _working_dtype(400, width, 11, gaps) is np.int64
+        width = (
+            int(db.lengths.max()) if kernel == "gotoh" else DEFAULT_STRIP_WIDTH
+        )
+        assert _working_dtype(query_length, width, 11, gaps) is np.int64
         with obs.collect("full", memory=True) as instr:
-            BatchedEngine(BLOSUM62, gaps, config).search(query, db)
+            _, report = BatchedEngine(BLOSUM62, gaps, config).search(query, db)
+        assert set(report.lane_engines) == {kernel}
         counters = instr.counters
         assert counters.get("engine.mem.budget_checks") == 1
         assert counters.get("engine.mem.budget_underestimates") == 0

@@ -243,8 +243,9 @@ class TestRefusal:
                 )
         engine = BatchedEngine(BLOSUM62, GP)
         _, report = engine.search(query, mixed)
-        # The premise: the default now sends the long pair to strips.
-        assert set(report.lane_engines) == {"gotoh", "strips"}
+        # The premise: the default no longer sweeps every group with
+        # gotoh (the cost model sends this whole database to strips).
+        assert set(report.lane_engines) == {"strips"}
         with pytest.raises(CheckpointError, match="different search"):
             engine.search(query, mixed, checkpoint=path, resume=True)
 

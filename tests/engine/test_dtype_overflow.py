@@ -7,9 +7,10 @@ alignments.  These tests pin the row and strip sweeps' dtype ladder
 end to end that a score which cannot fit in int16 comes back exact, and
 compare both sweeps against the scalar reference over random matrices,
 penalties and lengths on either side of the int16 bound and the strip
-width.  They also check that the sweeps' working buffers stay in the
-rung they were allocated in: a stray wide operand would widen a buffer
-without changing any score.
+width, with lane counts on both sides of the prefix scan's rule.  They
+also check that the sweeps' working buffers stay in the rung they were
+allocated in: a stray wide operand would widen a buffer without
+changing any score.
 """
 
 import sys
@@ -21,7 +22,11 @@ from hypothesis import strategies as st
 
 from repro.alphabet import BLOSUM62, PROTEIN, GapPenalty, SubstitutionMatrix
 from repro.engine import BatchedEngine, SearchConfig
-from repro.engine.lanes import _working_dtype, score_packed_group
+from repro.engine.lanes import (
+    _takes_doubling,
+    _working_dtype,
+    score_packed_group,
+)
 from repro.engine.pack import pack_group
 from repro.engine.striped import _lazy_f_sweep
 from repro.engine.strips import score_packed_group_strips
@@ -196,16 +201,19 @@ class TestWorkingBuffersStayInRung:
     catches it."""
 
     @pytest.mark.parametrize(
+        "lengths", [[3, 17, 30], [3, 17, 30] * 22],
+        ids=["accumulate", "doubling"],
+    )
+    @pytest.mark.parametrize(
         "gaps", [GP, GapPenalty(rho=2**20, sigma=2**20)],
         ids=["int16", "wide"],
     )
     @pytest.mark.parametrize("sweep", ["row", "strip"])
-    def test_buffers_keep_the_rung_dtype(self, sweep, gaps):
+    def test_buffers_keep_the_rung_dtype(self, sweep, gaps, lengths):
         rng = np.random.default_rng(11)
         query = Sequence.random("q", 20, rng)
         subjects = [
-            Sequence.random(f"d{i}", n, rng)
-            for i, n in enumerate([3, 17, 30])
+            Sequence.random(f"d{i}", n, rng) for i, n in enumerate(lengths)
         ]
         profile = QueryProfile(query.codes, BLOSUM62)
         if sweep == "row":
@@ -220,6 +228,10 @@ class TestWorkingBuffersStayInRung:
         assert scores.tolist() == [
             sw_score_scalar(query, d, BLOSUM62, gaps) for d in subjects
         ]
+        # The group sits on the scan-rule side its id names, and the
+        # doubling scan's second buffer is among the checked ones.
+        lanes = frame["spare"].shape[1]
+        assert _takes_doubling(lanes, expected) == (len(lengths) > 3)
         buffers = _buffer_dtypes(frame, 2)
         assert len(buffers) >= 5, buffers
         assert all(dtype == expected for dtype in buffers.values()), buffers
@@ -304,13 +316,25 @@ def sweep_cases(draw):
     # rho up to 2**15 reaches the int16 rung's most negative
     # intermediate, ``-(M + 2*rho + sigma*(m + 1))``.
     rho = draw(st.integers(sigma, min(2**20, sigma + 2**15)))
-    w = draw(st.integers(1, 12))
+    # Strip widths, and row lengths whose (L + 1)-row buffers, at
+    # 2**k - 1, 2**k and 2**k + 1: the edges of the doubling scan.
+    around_powers = sorted(
+        {2**k + d for k in range(1, 6) for d in (-2, -1, 0, 1)} - {0}
+    )
+    w = draw(st.one_of(st.integers(1, 12), st.sampled_from(around_powers)))
     near_strip = st.sampled_from(
         [k for k in (w - 1, w, w + 1, 2 * w - 1, 2 * w + 1) if k >= 1]
     )
+    # Up to 4 subjects sweep with np.maximum.accumulate; 15-70 straddle
+    # the doubling scan's lane rule in the int16 and int32 rungs.
+    count = draw(st.integers(15, 70) if draw(st.booleans()) else st.integers(1, 4))
     lengths = draw(
-        st.lists(st.one_of(st.integers(1, 48), near_strip),
-                 min_size=1, max_size=4)
+        st.lists(
+            st.one_of(
+                st.integers(1, 48), near_strip, st.sampled_from(around_powers)
+            ),
+            min_size=count, max_size=count,
+        )
     )
     query = Sequence.random("q", m, rng)
     subjects = [
@@ -327,7 +351,16 @@ class TestSweepsAgainstScalar:
         query, subjects, matrix, gaps, w = case
         m = len(query)
         max_abs = int(np.abs(matrix.scores[:, query.codes]).max())
-        for sweep, width in (("row", max(map(len, subjects))), ("strip", w)):
+        strip_lanes = sum(-(-len(d) // w) for d in subjects)
+        for sweep, width, lanes in (
+            ("row", max(map(len, subjects)), len(subjects)),
+            ("strip", w, strip_lanes),
+        ):
             dtype = _working_dtype(m, width, max_abs, gaps)
-            event(f"{sweep} sweep {dtype.__name__}")
+            side = (
+                "doubling"
+                if _takes_doubling(lanes, dtype)
+                else "accumulate"
+            )
+            event(f"{sweep} sweep {dtype.__name__} {side} scan")
         _assert_sweeps_match_scalar(query, subjects, matrix, gaps, w)

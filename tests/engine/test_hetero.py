@@ -409,13 +409,13 @@ class TestKernelCostModel:
     @pytest.mark.parametrize(
         "n, tail, group_size, m, expected",
         [
-            (500, 12, 128, 350, 795),
-            (500, 12, 64, 350, 868),
+            (500, 12, 128, 350, 694),
+            (500, 12, 64, 350, 795),
             (500, 12, 8, 350, 1737),
             (500, 12, 128, 60, 694),
-            (60, 2, 128, 40, 257),
-            (1_000, 0, 128, 300, 836),
-            (200, 0, 128, 100, 263),
+            (60, 2, 128, 40, 0),
+            (1_000, 0, 128, 300, 685),
+            (200, 0, 128, 100, 248),
         ],
     )
     def test_tuner_picks_pinned_for_bench_shapes(
@@ -430,9 +430,10 @@ class TestKernelCostModel:
     @pytest.mark.parametrize(
         "n, tail, m, expected",
         [
-            # A striped bulk plus a strips tail.
+            # Striped on the two shortest bulk groups, gotoh on the
+            # rest, and a strips tail.
             pytest.param(
-                1_000, 0, 300, ["striped"] * 7 + ["gotoh", "strips"],
+                1_000, 0, 300, ["striped"] * 2 + ["gotoh"] * 5 + ["strips"],
                 id="bulk_fasta-300",
             ),
             # A gotoh bulk at cli_small's query and at 60 aa.
@@ -445,7 +446,7 @@ class TestKernelCostModel:
                 id="campaign_checkpoint-60",
             ),
             pytest.param(
-                500, 12, 350, ["striped"] * 4 + ["strips"],
+                500, 12, 350, ["striped"] + ["gotoh"] * 3 + ["strips"],
                 id="tail_store_fanned-350",
             ),
         ],
@@ -464,7 +465,7 @@ class TestKernelCostModel:
         lengths = _swissprot_lengths(500, 12, 1)
         assert tune_split_threshold(
             lengths, group_size=128, strip_width=64, query_length=350
-        ) == 492
+        ) == 0
         assert _tuned(lengths, 128, **FREE_STRIPS) == 0
 
     def test_constants_live_in_the_kernel_table(self):

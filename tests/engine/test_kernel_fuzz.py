@@ -10,7 +10,9 @@ compare against :func:`~repro.sw.scalar.sw_score_scalar`:
 * the striped kernel across its score tiers (saturating ``uint8``, the
   ``int16`` re-run, the exact fallback) and stripe geometries, where the
   lazy-F wrap carries vertical gaps across lanes;
-* every kernel forced onto every group of a planned database.
+* every kernel forced onto every group of a planned database, with
+  group sizes on both sides of the row and strip sweeps' scan rule and
+  buffer lengths around powers of two.
 """
 
 from dataclasses import replace
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro.alphabet import PROTEIN, GapPenalty, SubstitutionMatrix
 from repro.engine import LANE_KERNELS, pack_plan, score_packed_group_striped
 from repro.engine.kernels import plan_groups
+from repro.engine.lanes import _takes_doubling, _working_dtype
 from repro.engine.pack import pack_group
 from repro.sequence import Database, Sequence, StripedProfile
 from repro.sw import sw_score_scalar
@@ -97,27 +100,61 @@ class TestStripedAgainstScalar:
             event("several stripe rows")
 
 
+#: Lengths that put the row sweep's ``(L + 1)``-row buffers and the
+#: strip width at ``2**k - 1``, ``2**k`` and ``2**k + 1``: the edges of
+#: the doubling scan's ``log2`` steps.
+AROUND_POWERS = sorted(
+    {2**k + d for k in range(1, 6) for d in (-2, -1, 0, 1)} - {0}
+)
+
+#: Group sizes on both sides of the scan rule
+#: (``repro.engine.lanes._takes_doubling``) in the int16 and int32
+#: rungs, and wide int64 groups, which always accumulate.
+SCAN_RULE_LANES = [15, 16, 17, 31, 32, 33, 63, 64, 65]
+
+
 @st.composite
 def planned_databases(draw):
-    """A query, a database with lengths around the strip width, a
-    matrix, penalties, a group size, a split threshold and a strip
-    width."""
+    """A query, a database with lengths around the strip width and
+    powers of two, a matrix, penalties, a group size, a split
+    threshold and a strip width."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.one_of(st.integers(1, 16), st.integers(17, 2**12)))
-    matrix = _matrix(rng, scale, draw(st.booleans()))
-    w = draw(st.integers(2, 12))
-    around_strip = st.sampled_from([1, w - 1, w, w + 1, 2 * w, 2 * w + 1])
-    lengths = draw(st.lists(
-        st.one_of(st.integers(1, 40), around_strip), min_size=1, max_size=10
-    ))
     m = draw(st.integers(1, 24))
+    # 2**30 // m carries accumulated similarity past int32.
+    scale = draw(st.one_of(
+        st.integers(1, 16), st.integers(17, 2**12), st.just(2**30 // m)
+    ))
+    matrix = _matrix(rng, scale, draw(st.booleans()))
+    w = draw(st.one_of(
+        st.integers(2, 12), st.sampled_from([k for k in AROUND_POWERS if k > 1])
+    ))
+    around_strip = st.sampled_from([1, w - 1, w, w + 1, 2 * w, 2 * w + 1])
+    # Wide databases give groups on the doubling side of the scan rule.
+    wide = draw(st.booleans())
+    size = draw(st.integers(15, 70) if wide else st.integers(1, 10))
+    lengths = draw(st.lists(
+        st.one_of(
+            st.integers(1, 40), around_strip, st.sampled_from(AROUND_POWERS)
+        ),
+        min_size=size, max_size=size,
+    ))
     query = Sequence.random("q", m, rng)
     db = Database.from_sequences(
         [Sequence.random(f"d{i}", n, rng) for i, n in enumerate(lengths)]
     )
-    group_size = draw(st.integers(1, 5))
+    group_size = draw(
+        st.sampled_from(SCAN_RULE_LANES) if wide else st.integers(1, 5)
+    )
     threshold = draw(st.one_of(st.none(), st.integers(0, 2 * w + 2)))
     return query, db, matrix, draw(gap_penalties()), group_size, threshold, w
+
+
+def _scan_event(kernel, dtype, lanes):
+    """Label which side of the scan rule a row or strip sweep took."""
+    side = (
+        "doubling" if _takes_doubling(lanes, dtype) else "accumulate"
+    )
+    event(f"{kernel} {np.dtype(dtype).name} {side} scan")
 
 
 class TestForcedKernelsAgainstScalar:
@@ -131,6 +168,7 @@ class TestForcedKernelsAgainstScalar:
             db, order,
             *plan_groups(db.lengths[order], len(query), group_size, threshold),
         )
+        max_abs = max(int(np.abs(matrix.scores[:, query.codes]).max()), 1)
         for name, kernel in LANE_KERNELS.items():
             profile = kernel.profile(query.codes, matrix)
             scores = np.full(len(db), -1, dtype=np.int64)
@@ -140,4 +178,13 @@ class TestForcedKernelsAgainstScalar:
                     strip_width=w if name == "strips" else None,
                 )
                 scores[group.indices] = kernel.score(profile, forced, gaps)
+                if name == "gotoh":
+                    _scan_event(name, _working_dtype(
+                        len(query), group.max_length, max_abs, gaps
+                    ), group.size)
+                elif name == "strips":
+                    _scan_event(
+                        name, _working_dtype(len(query), w, max_abs, gaps),
+                        forced.sweep_cells // w,
+                    )
             assert scores.tolist() == expected, name
