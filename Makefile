@@ -9,7 +9,8 @@ test:
 	pytest tests/
 
 lint:
-	PYTHONPATH=src python -m repro.lint src/
+	PYTHONPATH=src python -m repro.lint src/ benchmarks/ tools/
+	PYTHONPATH=src python -m repro.lint --no-baseline src/repro/engine/
 
 typecheck:
 	mypy

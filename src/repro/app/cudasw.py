@@ -320,7 +320,7 @@ class CudaSW:
             (:class:`~repro.engine.BatchedEngine`; packing accounting
             lands in :attr:`last_engine_report`): the long tail past
             the split threshold sweeps as bounded-padding strip groups
-            (:mod:`repro.engine.strips`), and each bulk group with the
+            (:mod:`repro.engine.lanes`), and each bulk group with the
             row or Farrar striped kernel the fitted cost model of
             :mod:`repro.engine.kernels` picks for the query length.
             ``"hetero"`` is the same engine and also takes

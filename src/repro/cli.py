@@ -99,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--db", metavar="PATH", default=None,
         help="search a pre-packed .rdb database store (repro db build) "
-        "instead of re-reading/re-packing the FASTA: residues are "
-        "memory-mapped, the stored group geometry is reused, and pool "
-        "workers receive group references instead of pickled arrays; "
-        "scores are bit-identical to the FASTA path.  A store that "
+        "instead of re-reading the FASTA: residues are memory-mapped, "
+        "each search plans its groups from the in-memory index, and "
+        "pool workers receive group references instead of pickled "
+        "arrays; scores are bit-identical to the FASTA path.  A store that "
         "fails validation exits with code 4 (see repro db verify)",
     )
     p_search.add_argument(
@@ -280,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_db_build.add_argument("store", help="output .rdb path")
     p_db_build.add_argument(
         "--group-size", type=int, default=None, metavar="N",
-        help="lanes per packed group persisted in the geometry tables "
-        "(default: the engine's tuned default); searches with a "
-        "different --group-size re-plan from the index",
+        help="lanes per packed group of the stored geometry tables "
+        "(default: the engine's tuned default); it only sets the size "
+        "that repro db info and DatabaseStore.plan_for report, since "
+        "every search plans its groups from the index",
     )
     p_db_build.add_argument(
         "--comment", default="", metavar="TEXT",

@@ -61,7 +61,11 @@ from repro.engine.kernels import (
     plan_groups,
     tune_split_threshold,
 )
-from repro.engine.lanes import padded_lane_profile, score_packed_group
+from repro.engine.lanes import (
+    padded_lane_profile,
+    score_packed_group,
+    score_packed_group_strips,
+)
 from repro.engine.pack import (
     DEFAULT_STRIP_WIDTH,
     PackedGroup,
@@ -71,7 +75,6 @@ from repro.engine.pack import (
     pack_plan,
 )
 from repro.engine.striped import score_packed_group_striped
-from repro.engine.strips import score_packed_group_strips
 from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.database import Database
 from repro.sequence.profile import QueryProfile

@@ -1,26 +1,26 @@
-"""Memory budgeting for group packing: split instead of OOM.
+"""Memory budgeting for group planning: split instead of OOM.
 
-The lane sweep materializes seven ``(max_len + 1, size)`` working
-arrays per group (H, F, Htmp, the prefix scan's two buffers, the
-running maximum and the gap ramp) plus an ``intp`` gather index on top
-of the ``uint8`` code matrix — see
-:func:`~repro.engine.lanes.score_packed_group`.  A titin-class tail
-group in a wide packing can therefore allocate hundreds of megabytes at
-once, and on a memory-capped host the kernel's OOM killer ends the
-whole search (exactly the process-level failure the checkpoint journal
-exists to survive — better to not trigger it at all).
+Sweeping one packed group materializes seven working arrays of one cell
+per swept DP column and lane (see :mod:`repro.engine.lanes`: H, F,
+Htmp, the prefix scan's two buffers, the running maximum and the gap
+ramp) plus an ``intp`` gather index on top of the ``uint8`` code
+matrix.  A titin-class tail group in a wide packing can therefore
+allocate hundreds of megabytes at once, and on a memory-capped host the
+kernel's OOM killer ends the whole search (exactly the process-level
+failure the checkpoint journal exists to survive — better to not
+trigger it at all).
 
 :class:`MemoryBudget` caps the estimated working set of any single
-packed group.  ``pack_database(db, group_size, budget=...)`` consults
-it while cutting the length-sorted order into groups: a chunk whose
-padded rectangle would exceed the budget is split into narrower groups
-(fewer lanes, same width) that each fit.  Splitting never changes
-scores — groups are scored independently — only the fan-out geometry,
-so the guard degrades throughput gracefully instead of killing the
-process.  A single sequence so long that even a one-lane group exceeds
-the budget cannot be split further; it is kept as a singleton group and
-counted, with a warning, so operators can raise the budget or trim the
-database.
+packed group.  The search's planner
+(:func:`~repro.engine.kernels.plan_groups`) consults it while cutting
+the length-sorted order into groups: a chunk whose padded rectangle
+would exceed the budget is split into narrower groups (fewer lanes,
+same width) that each fit.  Splitting never changes scores — groups are
+scored independently — only the fan-out geometry, so the guard degrades
+throughput gracefully instead of killing the process.  A single
+sequence so long that even a one-lane group exceeds the budget cannot
+be split further; it is kept as a singleton group and counted, with a
+warning, so operators can raise the budget or trim the database.
 """
 
 from __future__ import annotations
@@ -32,46 +32,30 @@ from repro.obs import current as obs_current
 
 __all__ = [
     "MemoryBudget",
-    "STRIP_SWEEP_BYTES_PER_CELL",
     "SWEEP_BYTES_PER_CELL",
     "estimate_group_bytes",
-    "estimate_strip_group_bytes",
 ]
 
-#: Estimated working-set bytes per padded lane cell: seven int64
-#: ``(max_len + 1, size)`` sweep buffers (the worst-case dtype: H, F,
-#: Htmp, the prefix scan's two buffers, the running maximum and the
-#: gap ramp), the 8-byte gather index and the uint8 code matrix (65
-#: bytes), rounded up for what the search holds beside the sweep (the
-#: database and its packed groups).  A 128 x 900-1,000 aa group peaks
-#: at about 74 bytes per cell in the int64 rung.  Deliberately
+#: Estimated working-set bytes per swept cell: seven int64 sweep
+#: buffers (the worst-case dtype: H, F, Htmp, the prefix scan's two
+#: buffers, the running maximum and the gap ramp), the 8-byte gather
+#: index and the uint8 code matrix (65 bytes), rounded up for what the
+#: search holds beside the sweep (the database and its packed groups).
+#: A 128 x 900-1,000 aa group peaks at about 66 bytes per swept cell
+#: in the int64 rung, swept whole or in 512-wide strips.  Deliberately
 #: conservative — the budget is an OOM guard, not an allocator.
 SWEEP_BYTES_PER_CELL = 80
 
-#: The strip sweep keeps the same seven int64 ``(width, strips)``
-#: buffers and the 8-byte gather index per strip cell, so it takes the
-#: rectangle figure.  A 128 x 900-1,000 aa group tiled at the default
-#: width peaks at about 67 bytes per strip cell in the int64 rung.
-STRIP_SWEEP_BYTES_PER_CELL = SWEEP_BYTES_PER_CELL
-
 
 def estimate_group_bytes(size: int, max_length: int) -> int:
-    """Estimated peak working-set bytes for sweeping one packed group."""
+    """Estimated peak working-set bytes for sweeping one packed group's
+    ``(max_length + 1, size)`` rectangle: the planner's split figure,
+    and the striped kernel's working set."""
     if size < 1 or max_length < 1:
         raise ValueError(
             f"group geometry must be positive, got {size}x{max_length}"
         )
     return size * (max_length + 1) * SWEEP_BYTES_PER_CELL
-
-
-def estimate_strip_group_bytes(sweep_cells: int) -> int:
-    """Estimated peak working-set bytes for one strip-engine group,
-    from its total strip-swept cells (``strips x strip_width``)."""
-    if sweep_cells < 1:
-        raise ValueError(
-            f"sweep cells must be positive, got {sweep_cells}"
-        )
-    return (sweep_cells + 1) * STRIP_SWEEP_BYTES_PER_CELL
 
 
 @dataclass(frozen=True)

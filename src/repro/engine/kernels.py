@@ -2,9 +2,9 @@
 
 Every packed group is swept by exactly one lane kernel, named by the
 :attr:`~repro.engine.pack.PackedGroup.lane_engine` it is stamped with
-at pack time: ``gotoh`` (the row sweep of :mod:`repro.engine.lanes`),
-``striped`` (the Farrar column sweep of :mod:`repro.engine.striped`) or
-``strips`` (the long-tail strip sweep of :mod:`repro.engine.strips`).
+at pack time: ``gotoh`` and ``strips`` (the row sweep of
+:mod:`repro.engine.lanes`, one strip per subject or fixed-width strips)
+or ``striped`` (the Farrar column sweep of :mod:`repro.engine.striped`).
 Everything that differs between the kernels lives in the kernel's
 :class:`LaneKernel` record, so the executor and
 :class:`~repro.engine.BatchedEngine` look the record up instead of
@@ -29,12 +29,12 @@ import numpy as np
 
 from repro.alphabet import GapPenalty
 from repro.engine.budget import (
+    SWEEP_BYTES_PER_CELL,
     MemoryBudget,
     estimate_group_bytes,
-    estimate_strip_group_bytes,
 )
 from repro.engine.dbstore import DatabaseStore
-from repro.engine.lanes import score_packed_group
+from repro.engine.lanes import score_packed_group, score_packed_group_strips
 from repro.engine.pack import (
     DEFAULT_STRIP_WIDTH,
     ChunkPlan,
@@ -43,7 +43,6 @@ from repro.engine.pack import (
     strip_cells,
 )
 from repro.engine.striped import score_packed_group_striped
-from repro.engine.strips import score_packed_group_strips
 from repro.sequence.profile import QueryProfile
 from repro.sequence.striped_profile import StripedProfile
 
@@ -118,9 +117,9 @@ def _rectangle_bytes(group: PackedGroup) -> int:
     return estimate_group_bytes(group.size, group.max_length)
 
 
-def _strip_bytes(group: PackedGroup) -> int:
-    """Working set of a sweep over the ``(strips, width)`` re-tiling."""
-    return estimate_strip_group_bytes(group.sweep_cells)
+def _sweep_bytes(group: PackedGroup) -> int:
+    """Working set of the row sweep over its ``(width, strips)`` lanes."""
+    return group.sweep_cells * SWEEP_BYTES_PER_CELL
 
 
 def _row_cost(
@@ -161,7 +160,7 @@ LANE_KERNELS: dict[str, LaneKernel] = {
     for kernel in (
         LaneKernel(
             "gotoh", QueryProfile, score_packed_group,
-            _rectangle_bytes, _row_cost, lambda group: "gotoh",
+            _sweep_bytes, _row_cost, lambda group: "gotoh",
         ),
         LaneKernel(
             "striped", StripedProfile, score_packed_group_striped,
@@ -169,7 +168,7 @@ LANE_KERNELS: dict[str, LaneKernel] = {
         ),
         LaneKernel(
             "strips", QueryProfile, score_packed_group_strips,
-            _strip_bytes, _strip_cost, _strips_token,
+            _sweep_bytes, _strip_cost, _strips_token,
         ),
     )
 }

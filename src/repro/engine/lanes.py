@@ -1,18 +1,29 @@
-"""The batched lane sweep: one NumPy step per DP row, all lanes at once.
+"""The lane sweep: one NumPy step per DP row, every lane at once.
 
 This is inter-sequence SIMD vectorization (SWIPE, SWAPHI, the SSW
-library) expressed in NumPy: lane ``k`` of a :class:`PackedGroup` holds
-database sequence ``k``, and each iteration of the single Python loop
-advances *every* lane by one query row.  For a group of ``s`` sequences
-of padded length ``L`` against a query of length ``m``, the whole group
-costs ``m`` vectorized steps over ``(L + 1, s)`` arrays — versus
-``s * (m + n)`` interpreter steps for the per-pair wavefront aligner.
+library) expressed in NumPy.  Each subject of a :class:`PackedGroup` is
+cut into ``ceil(len / W)`` column strips of width ``W``, every strip is
+one lane of a ``(W, strips)`` working set, and each iteration of the
+single Python loop advances *every* lane by one query row: ``m``
+vectorized steps for the whole group, versus ``s * (m + n)``
+interpreter steps for the per-pair wavefront aligner.  Two entry points
+share that one sweep:
 
-The working buffers are laid out lanes-innermost, ``(L + 1, s)``: row
-``j`` holds column ``j`` of every lane side by side, the way CUDASW++'s
-inter-task kernel interleaves its sequences so a warp's loads coalesce.
-Every shift along the row (the diagonal ``H[i-1][j-1]``, the E
-candidate's ``j - 1``) is then one contiguous block of memory.
+* :func:`score_packed_group` (the ``gotoh`` kernel) sweeps at
+  ``W = max_len``: every subject is one strip, the inter-task form
+  where SWAPHI puts one subject per lane;
+* :func:`score_packed_group_strips` (the ``strips`` kernel) sweeps at a
+  fixed strip width (:data:`~repro.engine.pack.DEFAULT_STRIP_WIDTH`),
+  the intra-task form CUDASW++ uses for long subjects (Section IV):
+  padding per subject is bounded by ``W - 1`` cells **regardless of its
+  length**, so a 3,597-residue tail subject takes 8 strips of 512
+  (about 88% useful) instead of dragging a group down to its width.
+
+The working buffers are laid out lanes-innermost, ``(W, strips)``: row
+``j`` holds in-strip column ``j`` of every strip side by side, the way
+CUDASW++'s inter-task kernel interleaves its sequences so a warp's
+loads coalesce.  Every in-strip shift (the diagonal ``H[i-1][j-1]``,
+the E candidate's ``j - 1``) is then one contiguous block of memory.
 
 Within a row the horizontal gap state ``E`` has a sequential dependency
 (``E[i][j]`` needs ``E[i][j-1]``), which would force a per-column Python
@@ -25,35 +36,60 @@ directly from ``Htmp = max(0, F, H_diag + W)`` — the row's H values
     E[i][j] = max_{k < j} ( Htmp[k] - rho - (j-1-k) * sigma )
             = max_{k <= j-1} ( Htmp[k] + k*sigma ) - rho - (j-1)*sigma
 
-i.e. a prefix maximum of ``Htmp + k*sigma`` down the row, taken for all
-lanes at once by :func:`_prefix_max`.  (Routing a gap through a cell
-whose H came from E would pay ``rho`` twice where extending the
+i.e. a prefix maximum of ``Htmp + k*sigma`` down the strip, taken for
+all lanes at once by :func:`_prefix_max`.  (Routing a gap through a
+cell whose H came from E would pay ``rho`` twice where extending the
 original gap pays ``sigma`` — never better when ``sigma <= rho``.)
 With the lanes innermost, that scan can be a Hillis–Steele doubling
-scan (Snytsar's log-step lazy-F form): ``ceil(log2(L + 1))``
-elementwise maxima of contiguous blocks, each over every lane, instead
-of one ``np.maximum.accumulate`` that walks the row element by
-element.  A rule on lane count and dtype (:data:`_DOUBLING_MIN_LANES`)
-picks the faster of the two per group.
+scan (Snytsar's log-step lazy-F form): ``ceil(log2 W)`` elementwise
+maxima of contiguous blocks, each over every lane, instead of one
+``np.maximum.accumulate`` that walks the strip element by element.  A
+rule on lane count and dtype (:data:`_DOUBLING_MIN_LANES`) picks the
+faster of the two per group.
 
-Padded columns read a sentinel similarity of ``-(m * |W|_max + 1)``, so
-``H_diag + W`` is negative there; padded cells can only relay (decayed)
-in-bounds values and never raise a lane's maximum.  Scores are therefore
-bit-identical to :func:`~repro.sw.scalar.sw_score_scalar` on every lane,
-which the equivalence suite asserts.
+When a subject spans several strips, H and E flow across its strip
+boundaries within a DP row, and both dependencies close in scan form:
+
+* the *diagonal* term of a strip's column 0 is the previous row's value
+  at the preceding strip's last column — a shifted copy of one buffer
+  row (the *wrap*);
+* the *horizontal* term takes one **segmented** prefix maximum over the
+  per-strip boundary values of the in-strip scan (the *carry*), offset
+  by ``s * W * sigma`` so decay across whole strips is exact, and
+  biased by a per-subject ramp so one ``np.maximum.accumulate`` cannot
+  leak a carry from one subject's strips into the next's.
+
+The vertical gap chain F never crosses a strip boundary (strips tile
+*columns*), so it stays elementwise.  When every subject fits one strip
+the wrap and the carry do nothing, and the sweep skips them.
+
+Padded cells sit only in each subject's final strip and read a sentinel
+similarity of ``-(m * |W|_max + 1)``, so ``H_diag + W`` is negative
+there; they can only relay (decayed) in-bounds values and never raise a
+subject's maximum.  Scores are therefore bit-identical to
+:func:`~repro.sw.scalar.sw_score_scalar` on every lane, which the
+equivalence suite asserts.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.alphabet import GapPenalty
-from repro.engine.pack import PackedGroup
+from repro.engine.pack import DEFAULT_STRIP_WIDTH, PackedGroup
 from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.profile import QueryProfile
 from repro.sw.utils import validate_penalties
 
-__all__ = ["score_packed_group", "padded_lane_profile", "count_sweep_work"]
+__all__ = [
+    "count_strips_work",
+    "count_sweep_work",
+    "padded_lane_profile",
+    "score_packed_group",
+    "score_packed_group_strips",
+]
 
 #: Fewest lanes at which :func:`_prefix_max` takes the doubling scan
 #: over ``np.maximum.accumulate(axis=0)``, by working dtype; the int64
@@ -85,12 +121,12 @@ def _takes_doubling(lanes: int, dtype: np.dtype | type) -> bool:
 def _prefix_max(g: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Inclusive prefix maximum of ``g`` down axis 0, lane by lane.
 
-    ``g`` and ``spare`` are the calling sweep's two ``(n, lanes)``
-    scratch buffers; both are clobbered, and the returned one holds the
-    scan.  Groups the :data:`_DOUBLING_MIN_LANES` rule sends to the
-    doubling scan ping-pong between the two buffers: step ``k`` folds
-    each row ``j >= k`` with row ``j - k``, ``ceil(log2 n)`` steps in
-    all.  The rest take ``np.maximum.accumulate`` in place.
+    ``g`` and ``spare`` are the sweep's two ``(n, lanes)`` scratch
+    buffers; both are clobbered, and the returned one holds the scan.
+    Groups the :data:`_DOUBLING_MIN_LANES` rule sends to the doubling
+    scan ping-pong between the two buffers: step ``k`` folds each row
+    ``j >= k`` with row ``j - k``, ``ceil(log2 n)`` steps in all.  The
+    rest take ``np.maximum.accumulate`` in place.
     """
     n, lanes = g.shape
     if not _takes_doubling(lanes, g.dtype):
@@ -108,9 +144,14 @@ def _prefix_max(g: np.ndarray, spare: np.ndarray) -> np.ndarray:
 
 
 def count_sweep_work(
-    instr: AnyInstrumentation, m: int, group: PackedGroup
+    instr: AnyInstrumentation,
+    m: int,
+    group: PackedGroup,
+    width: int,
+    strips: int,
+    dtype: type,
 ) -> None:
-    """Record one group sweep's work in the ambient counter registry.
+    """Charge one gotoh group sweep's work counters.
 
     Useful vs. padded cells is the Figure 2 distinction: the sweep
     *computes* the whole ``(size, max_len)`` rectangle ``m`` times, but
@@ -120,12 +161,38 @@ def count_sweep_work(
     merges once (see ``repro.engine.executor``), so totals are identical
     on the serial and fanned-out paths.
     """
-    s, L = group.codes.shape
     instr.count("engine.sweep.groups", 1)
     instr.count("engine.sweep.rows", m)
-    instr.count("engine.sweep.lane_steps", m * s)
+    instr.count("engine.sweep.lane_steps", m * strips)
     instr.count("engine.sweep.useful_cells", m * group.residues)
-    instr.count("engine.sweep.padded_cells", m * s * L)
+    instr.count("engine.sweep.padded_cells", m * strips * width)
+    if dtype is np.int16:
+        instr.count("engine.sweep.int16_groups", 1)
+
+
+def count_strips_work(
+    instr: AnyInstrumentation,
+    m: int,
+    group: PackedGroup,
+    width: int,
+    strips: int,
+    dtype: type,
+) -> None:
+    """Charge one strip-group sweep's work counters.
+
+    ``padded_cells`` is the swept strip rectangle ``strips * W`` per
+    query row — the quantity the dispatch decision optimizes — not
+    the ``(size, max_len)`` packing rectangle the gotoh kernel would
+    have swept for the same subjects.
+    """
+    instr.count("engine.strips.groups", 1)
+    instr.count("engine.strips.sequences", group.size)
+    instr.count("engine.strips.strip_lanes", strips)
+    instr.count("engine.strips.rows", m)
+    instr.count("engine.strips.useful_cells", m * group.residues)
+    instr.count("engine.strips.padded_cells", m * strips * width)
+    if dtype is np.int16:
+        instr.count("engine.strips.int16_groups", 1)
 
 
 def padded_lane_profile(profile: QueryProfile, pad_code: int) -> np.ndarray:
@@ -157,11 +224,12 @@ def _working_dtype(
 ) -> type:
     """The narrowest of int16, int32 and int64 every intermediate fits.
 
-    The extreme magnitudes are the prefix-scan ramp (``L * sigma``), the
-    decayed F boundary (``~m * sigma + rho`` below the -inf seed) and
-    accumulated similarity (``m * |W|_max``); ``bound`` below covers
-    their sum.  One ladder, three rungs; the two narrow ones keep
-    ``bound`` below half their dtype's range:
+    ``L`` is the swept row length, the strip width.  The extreme
+    magnitudes are the prefix-scan ramp (``L * sigma``), the decayed F
+    boundary (``~m * sigma + rho`` below the -inf seed) and accumulated
+    similarity (``m * |W|_max``); ``bound`` below covers their sum (the
+    range proof is in :func:`_sweep`).  One ladder, three rungs; the two
+    narrow ones keep ``bound`` below half their dtype's range:
 
     * **int16** when ``bound < 2**14``: short queries and subjects under
       ordinary matrices and penalties — the bulk of a protein search.
@@ -182,79 +250,233 @@ def _working_dtype(
     return np.int32 if bound < 2**30 else np.int64
 
 
-def score_packed_group(
-    profile: QueryProfile, group: PackedGroup, gaps: GapPenalty
+def _strip_tiles(
+    group: PackedGroup, w: int, counts: np.ndarray
 ) -> np.ndarray:
-    """Optimal local-alignment score of the query against every lane.
+    """The ``(W, strips)`` gather index of a group's strip tiling.
 
-    Returns an ``int64`` array of ``group.size`` scores, lane order.
+    Column ``s`` is one strip lane: ``W`` consecutive columns of one
+    subject's code row, its ``counts[q]`` strips in order, pad codes
+    past its length.  At ``W = max_len`` this is the transposed code
+    matrix.  Built ``intp`` once rather than converted from uint8 on
+    every query row.
+    """
+    n, L = group.codes.shape
+    k = int(counts.max())
+    rows = np.full((n, k * w), group.pad_code, dtype=group.codes.dtype)
+    rows[:, :L] = group.codes
+    kept = np.arange(k, dtype=np.int64) < counts[:, None]  # (n, k)
+    tiles = rows.reshape(n, k, w)[kept]
+    return np.ascontiguousarray(tiles.T, dtype=np.intp)
+
+
+def _sweep(
+    profile: QueryProfile,
+    group: PackedGroup,
+    gaps: GapPenalty,
+    w: int,
+    charge: Callable[
+        [AnyInstrumentation, int, PackedGroup, int, int, type], None
+    ],
+) -> np.ndarray:
+    """Optimal local-alignment score of the query against every subject,
+    sweeping ``w``-wide strips; ``charge`` records the work counters.
+
+    Returns an ``int64`` array of ``group.size`` scores in lane order.
+    The ``(W, strips)`` buffers take their dtype from
+    :func:`_working_dtype` at the strip width ``W``, not at a subject's
+    length: everything that crosses a strip boundary (the whole-strip
+    decay ``off``, the segmentation bias and the carry scan) is int64.
+    With ``M = m * max_abs`` (``max_abs``: the largest similarity
+    magnitude, at least 1) and ``neg = -(M + rho + sigma * (m + 2))``
+    the narrow intermediates are
+
+    * the profile ``pp`` and the similarity gathered into ``htmp``:
+      ``[-(M + 1), M]`` (the pad sentinel is ``-(M + 1)``);
+    * H (``h_prev`` at the end of a row, and ``wrap``): ``[0, M]``;
+      ``Htmp``: ``[0, M]`` after its clamp, ``[-(M + 1), 2M]`` before;
+    * ``H - rho`` (F's scratch, held in ``g``): ``[-rho, M]``;
+    * F: ``neg - sigma`` on row 0, ``[-rho - sigma, M]`` after;
+    * in-strip scan (``g``, ``spare``): ``[0, M + (W - 1) * sigma]``;
+    * the carry cast into ``h_prev[0]``: an earlier strip's scan value
+      decayed by whole strips, clipped from below at ``neg`` in int64
+      before the cast, so ``[neg, M + (W - 1) * sigma]``;
+    * the E candidate built in ``h_prev``: ``max(G[j - 1], carry) -
+      (j - 1) * sigma`` in columns ``j >= 1`` (``[-(W - 2) * sigma,
+      M + (W - 1) * sigma]``) and ``carry + sigma`` in column 0 (0 when
+      every subject fits one strip), then minus ``rho``.  Its low
+      extreme is ``neg + sigma - rho = -(M + 2 * rho + sigma * (m + 1))``
+      in column 0, its high one ``M + W * sigma``.
+
+    ``_working_dtype``'s ``bound = 2M + rho + sigma * (W + 2m + 4)``
+    exceeds every magnitude but the column-0 E candidate's, which stays
+    below ``bound + rho < 2 * bound``: inside the dtype, because each
+    narrow rung keeps ``bound`` below half its range.
     """
     validate_penalties(gaps)
+    pp = padded_lane_profile(profile, group.pad_code)
     m = profile.length
-    s, L = group.codes.shape
+    n = group.size
+    counts = np.maximum((group.lengths.astype(np.int64) + w - 1) // w, 1)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    strips = int(offsets[-1])
+    #: Whether some subject spans several strips: only then do H and E
+    #: cross strip boundaries (the wrap and the carry).
+    carries = strips > n
+    #: subject index and in-subject strip index of every strip lane.
+    seq_of = np.repeat(np.arange(n, dtype=np.int64), counts)
+    local = np.arange(strips, dtype=np.int64) - offsets[:-1][seq_of]
+    first = local == 0  # strip 0 of each subject: no carry, no wrap
+
     rho, sigma = gaps.rho, gaps.sigma
-    max_abs = int(np.abs(profile.scores).max())
-    dtype = _working_dtype(m, L, max_abs, gaps)
+    max_abs = max(int(np.abs(profile.scores).max()), 1)
+    dtype = _working_dtype(m, w, max_abs, gaps)
     instr = obs_current()
     if instr.enabled:
-        count_sweep_work(instr, m, group)
-        if dtype is np.int16:
-            instr.count("engine.sweep.int16_groups", 1)
-    pp = padded_lane_profile(profile, group.pad_code).astype(
-        dtype, copy=False
-    )
-    #: The gather index, transposed to the lanes-innermost layout and
-    #: widened once: ``np.take`` would otherwise convert the uint8
-    #: codes to ``intp`` again on every query row.
-    codes = np.ascontiguousarray(group.codes.T, dtype=np.intp)
+        charge(instr, m, group, w, strips, dtype)
+    pp = pp.astype(dtype, copy=False)
+    codes = _strip_tiles(group, w, counts)
 
-    #: -inf stand-in for the F boundary: deep enough that m rows of
-    #: sigma-decay still lose to any reachable alternative.
+    #: -inf stand-in for the F seed and the missing carry: deep enough
+    #: that m rows of sigma-decay still lose to any reachable value.
     neg = dtype(-(m * max_abs + rho + sigma * (m + 2)))
-    # Row j of each (L + 1, s) buffer is column j of every lane; row 0
-    # is the boundary column.
-    #: j * sigma in row j, stored for every lane: broadcasting one
+    neg64 = np.int64(int(neg))
+    #: j * sigma in row j, stored for every strip lane: broadcasting one
     #: column over a narrow group's rows costs more than reading it.
-    ramp = np.repeat(
-        (sigma * np.arange(L + 1, dtype=np.int64)).astype(dtype)[:, None],
-        s, axis=1,
+    rampw = np.repeat(
+        (sigma * np.arange(w, dtype=np.int64)).astype(dtype)[:, None],
+        strips, axis=1,
     )
-    h_prev = np.zeros((L + 1, s), dtype=dtype)  # H of row i-1, then row i
-    f_prev = np.full((L + 1, s), neg, dtype=dtype)  # F of row i-1
-    htmp = np.zeros_like(h_prev)  # max(0, F, H_diag + W): H before E
-    g = np.empty_like(h_prev)  # scan buffer
+    #: Whole-strip decay offset of strip s's boundary value:
+    #: local_strip * W * sigma (int64 — can exceed a narrow dtype for
+    #: adversarial penalties).
+    off = np.int64(sigma) * w * local
+    #: Segmentation bias: adding big * subject_index before the
+    #: cross-strip accumulate leaves any value carried across a subject
+    #: boundary at least ``big`` below its segment's floor once the
+    #: bias comes back off, where the -inf clip below catches it.
+    #: big * n stays far inside int64 for every validated penalty.
+    big = (
+        np.int64(m) * max_abs
+        + np.int64(sigma) * (np.int64(strips) * w + w + 4)
+        + np.int64(rho)
+        - neg64
+        + 1
+    )
+    seg_pen = big * seq_of
+
+    # Row j of each (W, strips) buffer is in-strip column j of every
+    # strip lane.
+    h_prev = np.zeros((w, strips), dtype=dtype)  # H of row i-1, then row i
+    f = np.full((w, strips), neg, dtype=dtype)  # F of row i-1, then row i
+    htmp = np.empty_like(h_prev)  # max(0, F, H_diag + W): H before E
+    g = np.empty_like(h_prev)  # in-strip scan buffer
     spare = np.empty_like(h_prev)  # the doubling scan's second buffer
     best = np.zeros_like(h_prev)  # running elementwise maximum of Htmp
+    wrap = np.zeros(strips, dtype=dtype)  # diagonal of in-strip column 0
+    bshift = np.empty(strips, dtype=np.int64)
+    key = np.empty(strips, dtype=np.int64)
+    carry = np.empty(strips, dtype=np.int64)
 
     for i in range(m):
         # F[i] = max(F[i-1] - sigma, H[i-1] - rho), elementwise per lane.
         # g is dead until the scan input overwrites all of it below, so
         # it doubles as the H - rho scratch.
-        np.subtract(f_prev, sigma, out=f_prev)
+        np.subtract(f, sigma, out=f)
         np.subtract(h_prev, rho, out=g)
-        np.maximum(f_prev, g, out=f_prev)
-        # Htmp = max(0, F, H[i-1][j-1] + W) — H with E not yet folded in.
-        # The similarity of query row i against every lane column is one
-        # gather straight into Htmp: PackedGroup guarantees every code
-        # is <= pad_code, so "clip" never clips, and unlike "raise" it
-        # writes into the contiguous block without a temporary.
-        np.take(pp[i], codes, out=htmp[1:], mode="clip")
-        np.add(htmp[1:], h_prev[:L], out=htmp[1:])
-        np.maximum(htmp[1:], f_prev[1:], out=htmp[1:])
-        np.maximum(htmp[1:], 0, out=htmp[1:])
-        # The maximum of H equals the maximum of Htmp: E only relays
-        # Htmp values minus gap penalties, so folding it in can never
+        np.maximum(f, g, out=f)
+        # Htmp = max(0, F, H[i-1][c-1] + W) — H with E not yet folded in.
+        # The similarity of query row i against every strip column is
+        # one gather straight into Htmp: PackedGroup guarantees every
+        # code is <= pad_code, so "clip" never clips, and unlike "raise"
+        # it writes into the buffer without a temporary.  The diagonal
+        # is an in-strip shift, and in column 0 a wrap from the previous
+        # strip's last column (zero at each subject's strip 0).
+        np.take(pp[i], codes, out=htmp, mode="clip")
+        np.add(htmp[1:], h_prev[:-1], out=htmp[1:])
+        if carries:
+            wrap[1:] = h_prev[-1, :-1]
+            wrap[first] = 0
+            np.add(htmp[0], wrap, out=htmp[0])
+        np.maximum(htmp, f, out=htmp)
+        np.maximum(htmp, 0, out=htmp)
+        # The maximum of H equals the maximum of Htmp: E and the carries
+        # only relay decayed Htmp values, so folding them in can never
         # raise it.  An elementwise running maximum, reduced once at the
-        # end, is one contiguous pass; a per-row reduction down axis 0
-        # costs up to 12 ns a cell on a narrow group.
+        # end per strip and then per subject, is one contiguous pass; a
+        # per-row reduction down axis 0 costs up to 12 ns a cell on a
+        # narrow group.
         np.maximum(best, htmp, out=best)
-        # E[j] = scan[j - 1] - (j - 1) * sigma - rho from the prefix-max
-        # scan, then H = max(Htmp, E) into h_prev, whose row i-1 was
-        # fully consumed above (its boundary row 0 stays zero).
-        np.add(htmp, ramp, out=g)
+        # In-strip inclusive prefix maximum of Htmp + j*sigma.
+        np.add(htmp, rampw, out=g)
         scan = _prefix_max(g, spare)
-        np.subtract(scan[:L], ramp[:L], out=h_prev[1:])
-        np.subtract(h_prev[1:], rho, out=h_prev[1:])
-        np.maximum(h_prev[1:], htmp[1:], out=h_prev[1:])
+        # E at in-strip column j is max(G[s, j-1], carry[s]) - j*sigma
+        # - (rho - sigma), built in h_prev (fully consumed above) as
+        # X[j] - rho with X[j] = max(G[j-1], carry) - (j-1)*sigma.
+        # Column 0 has no in-strip G: its only term is the carry, which
+        # crosses the strip boundary (the "-1" column).
+        if carries:
+            # Cross-strip carry: exclusive segmented prefix maximum of
+            # each strip's boundary value
+            # B[s] = G[s, -1] + s_local * W * sigma.
+            np.add(scan[-1, :-1], off[:-1], out=bshift[1:])
+            bshift[0] = neg64
+            bshift[first] = neg64
+            np.add(bshift, seg_pen, out=key)
+            np.maximum.accumulate(key, out=key)
+            np.subtract(key, seg_pen, out=carry)
+            np.subtract(carry, off, out=carry)  # into strip-local terms
+            np.maximum(carry, neg64, out=carry)  # clip leaked/-inf values
+            np.copyto(h_prev[0], carry, casting="unsafe")
+            np.maximum(scan[:-1], h_prev[0], out=h_prev[1:])
+            np.subtract(h_prev[1:], rampw[:-1], out=h_prev[1:])
+            np.add(h_prev[0], sigma, out=h_prev[0])
+        else:
+            # No carry: column 0 has no E candidate, and 0 - rho loses
+            # to Htmp >= 0.
+            np.subtract(scan[:-1], rampw[:-1], out=h_prev[1:])
+            h_prev[0] = 0
+        # H row i = max(Htmp, E).
+        np.subtract(h_prev, rho, out=h_prev)
+        np.maximum(h_prev, htmp, out=h_prev)
 
-    return best.max(axis=0).astype(np.int64)
+    lane_best = best.max(axis=0).astype(np.int64)
+    if carries:
+        lane_best = np.maximum.reduceat(lane_best, offsets[:-1])
+    return lane_best
+
+
+def score_packed_group(
+    profile: QueryProfile, group: PackedGroup, gaps: GapPenalty
+) -> np.ndarray:
+    """Optimal local-alignment score of the query against every lane.
+
+    The sweep at ``W = max_len``, one strip per subject.  Returns an
+    ``int64`` array of ``group.size`` scores, lane order.
+    """
+    return _sweep(profile, group, gaps, group.max_length, count_sweep_work)
+
+
+def score_packed_group_strips(
+    profile: QueryProfile,
+    group: PackedGroup,
+    gaps: GapPenalty,
+    *,
+    strip_width: int | None = None,
+) -> np.ndarray:
+    """Optimal local-alignment score of the query against every subject.
+
+    The sweep at ``strip_width`` (default: the group's, else
+    :data:`~repro.engine.pack.DEFAULT_STRIP_WIDTH`).  Returns an
+    ``int64`` array of ``group.size`` scores in lane order,
+    bit-identical to :func:`score_packed_group`.
+    """
+    w = int(
+        strip_width
+        if strip_width is not None
+        else (group.strip_width or DEFAULT_STRIP_WIDTH)
+    )
+    if w <= 0:
+        raise ValueError(f"strip width must be positive, got {w}")
+    return _sweep(profile, group, gaps, w, count_strips_work)

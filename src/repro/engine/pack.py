@@ -56,7 +56,7 @@ __all__ = [
 
 #: Default strip width for groups swept by the strip engine (DP columns
 #: per strip lane).  Lives here rather than in
-#: :mod:`~repro.engine.strips` so packing and cost modelling can reason
+#: :mod:`~repro.engine.lanes` so packing and cost modelling can reason
 #: about strip geometry without importing the kernel.
 DEFAULT_STRIP_WIDTH = 512
 

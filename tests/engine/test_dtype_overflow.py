@@ -23,13 +23,14 @@ from hypothesis import strategies as st
 from repro.alphabet import BLOSUM62, PROTEIN, GapPenalty, SubstitutionMatrix
 from repro.engine import BatchedEngine, SearchConfig
 from repro.engine.lanes import (
+    _sweep,
     _takes_doubling,
     _working_dtype,
     score_packed_group,
+    score_packed_group_strips,
 )
 from repro.engine.pack import pack_group
 from repro.engine.striped import _lazy_f_sweep
-from repro.engine.strips import score_packed_group_strips
 from repro.sequence import Database, QueryProfile, Sequence, StripedProfile
 from repro.sw import sw_score_scalar
 from repro.sw.antidiagonal import sw_score_antidiagonal
@@ -155,13 +156,14 @@ def _assert_sweeps_match_scalar(query, subjects, matrix, gaps, strip_width):
     assert strips.tolist() == expected
 
 
-def _locals_at_return(fn, *args):
-    """Call ``fn(*args)``; return its result and its frame's locals as
-    it returns."""
+def _locals_at_return(fn, *args, frame_of=None):
+    """Call ``fn(*args)``; return its result and the locals of the frame
+    of ``frame_of`` (default ``fn``) as it returns."""
     seen = {}
+    code = (frame_of or fn).__code__
 
     def trace_calls(frame, event, arg):
-        if frame.f_code is not fn.__code__:
+        if frame.f_code is not code:
             return None
 
         def trace_lines(frame, event, arg):
@@ -196,9 +198,9 @@ def _buffer_dtypes(frame, ndim):
 class TestWorkingBuffersStayInRung:
     """The sweeps' working buffers still have their rung's or tier's
     dtype when the sweep returns.  A rebinding such as
-    ``f_prev = f_prev - np.int64(sigma)`` widens the row sweep's int16
-    rung to int64 and leaves every score exact, so only a dtype check
-    catches it."""
+    ``f = f - np.int64(sigma)`` widens the row sweep's int16 rung to
+    int64 and leaves every score exact, so only a dtype check catches
+    it."""
 
     @pytest.mark.parametrize(
         "lengths", [[3, 17, 30], [3, 17, 30] * 22],
@@ -208,26 +210,41 @@ class TestWorkingBuffersStayInRung:
         "gaps", [GP, GapPenalty(rho=2**20, sigma=2**20)],
         ids=["int16", "wide"],
     )
-    @pytest.mark.parametrize("sweep", ["row", "strip"])
-    def test_buffers_keep_the_rung_dtype(self, sweep, gaps, lengths):
+    @pytest.mark.parametrize(
+        "entry, width, branch",
+        [("gotoh", 30, "one-strip"), ("strips", 8, "carry"),
+         ("strips", 32, "one-strip")],
+        ids=["row-one-strip", "strips-carry", "strips-one-strip"],
+    )
+    def test_buffers_keep_the_rung_dtype(
+        self, entry, width, branch, gaps, lengths
+    ):
         rng = np.random.default_rng(11)
         query = Sequence.random("q", 20, rng)
         subjects = [
             Sequence.random(f"d{i}", n, rng) for i, n in enumerate(lengths)
         ]
         profile = QueryProfile(query.codes, BLOSUM62)
-        if sweep == "row":
-            fn, group, width = score_packed_group, _group(subjects), 30
+        if entry == "gotoh":
+            fn, group = score_packed_group, _group(subjects)
         else:
-            fn, width = score_packed_group_strips, 8
+            fn = score_packed_group_strips
             group = _group(subjects, "strips", width)
         max_abs = int(np.abs(profile.scores).max())
         expected = _working_dtype(20, width, max_abs, gaps)
         assert (expected is np.int16) == (gaps is GP)
-        scores, frame = _locals_at_return(fn, profile, group, gaps)
+        scores, frame = _locals_at_return(
+            fn, profile, group, gaps, frame_of=_sweep
+        )
         assert scores.tolist() == [
             sw_score_scalar(query, d, BLOSUM62, gaps) for d in subjects
         ]
+        # The entry point swept at the width and took the branch its id
+        # names, and the cross-strip carry stayed int64.
+        assert frame["w"] == width
+        assert frame["carries"] == (branch == "carry")
+        for name in ("bshift", "key", "carry"):
+            assert frame[name].dtype == np.int64, name
         # The group sits on the scan-rule side its id names, and the
         # doubling scan's second buffer is among the checked ones.
         lanes = frame["spare"].shape[1]
@@ -336,6 +353,18 @@ def sweep_cases(draw):
             min_size=count, max_size=count,
         )
     )
+    # At or past the longest subject the strip sweep takes its
+    # one-strip branch; at longest - 1 the longest subject spills into
+    # a second strip; at 1 every column is a strip.
+    longest = max(lengths)
+    w = draw(
+        st.one_of(
+            st.just(w),
+            st.integers(longest, longest + 8),
+            st.just(max(longest - 1, 1)),
+            st.just(1),
+        )
+    )
     query = Sequence.random("q", m, rng)
     subjects = [
         Sequence.random(f"d{i}", length, rng)
@@ -363,4 +392,6 @@ class TestSweepsAgainstScalar:
                 else "accumulate"
             )
             event(f"{sweep} sweep {dtype.__name__} {side} scan")
+        branch = "one-strip" if strip_lanes == len(subjects) else "carry"
+        event(f"strip sweep {branch} branch")
         _assert_sweeps_match_scalar(query, subjects, matrix, gaps, w)

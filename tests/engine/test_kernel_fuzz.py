@@ -134,7 +134,8 @@ def planned_databases(draw):
     size = draw(st.integers(15, 70) if wide else st.integers(1, 10))
     lengths = draw(st.lists(
         st.one_of(
-            st.integers(1, 40), around_strip, st.sampled_from(AROUND_POWERS)
+            st.integers(1, 40), around_strip, st.sampled_from(AROUND_POWERS),
+            st.just(1),
         ),
         min_size=size, max_size=size,
     ))
@@ -142,8 +143,9 @@ def planned_databases(draw):
     db = Database.from_sequences(
         [Sequence.random(f"d{i}", n, rng) for i, n in enumerate(lengths)]
     )
+    # One-lane groups sweep a single subject, often of one residue.
     group_size = draw(
-        st.sampled_from(SCAN_RULE_LANES) if wide else st.integers(1, 5)
+        st.sampled_from([1, *SCAN_RULE_LANES]) if wide else st.integers(1, 5)
     )
     threshold = draw(st.one_of(st.none(), st.integers(0, 2 * w + 2)))
     return query, db, matrix, draw(gap_penalties()), group_size, threshold, w
@@ -183,8 +185,11 @@ class TestForcedKernelsAgainstScalar:
                         len(query), group.max_length, max_abs, gaps
                     ), group.size)
                 elif name == "strips":
+                    strips = forced.sweep_cells // w
                     _scan_event(
                         name, _working_dtype(len(query), w, max_abs, gaps),
-                        forced.sweep_cells // w,
+                        strips,
                     )
+                    branch = "one-strip" if strips == group.size else "carry"
+                    event(f"strips {branch} branch")
             assert scores.tolist() == expected, name
