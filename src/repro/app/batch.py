@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Any
 
 from repro.app.cudasw import CudaSW, SearchReport
 from repro.app.results import SearchResult
-from repro.engine import DatabaseStore, FaultPolicy, MemoryBudget
+from repro.engine import DatabaseStore
 from repro.obs import (
     COLLECT_MODES,
     RunReport,
@@ -81,14 +82,9 @@ def search_batch(
     queries: list[Sequence],
     db: Database | DatabaseStore,
     *,
-    engine: str = "batched",
-    workers: int = 1,
-    fault_policy: FaultPolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
-    resume: bool = False,
-    memory_budget: MemoryBudget | None = None,
     collect: str = "off",
-    split_threshold: int | str | None = None,
+    **options: Any,
 ) -> tuple[list[SearchResult], BatchReport]:
     """Functionally search every query; returns per-query results plus
     the aggregated report.
@@ -98,28 +94,18 @@ def search_batch(
     re-tunes its split and re-plans its groups for its own length from
     the store's in-memory index.
 
-    ``engine`` and ``workers`` select the functional score backend per
-    :meth:`CudaSW.search` — the batched default reuses CUDASW++'s
-    once-per-database preprocessing spirit by scoring whole packed
-    groups per NumPy sweep for every query of the campaign, each
-    group's kernel picked for that query's length;
-    ``engine="striped"`` forces the Farrar striped kernel, and
-    ``engine="hetero"`` takes ``split_threshold`` (``"auto"`` or an
-    integer length).
-
-    ``fault_policy`` is applied to every query's search (packed engines
-    only, :data:`~repro.engine.PACKED_ENGINES`).  The policy's deadline
-    is per query, not per campaign; a query that exceeds it raises
-    :class:`~repro.engine.SearchDeadlineExceeded` with that query's
-    partial scores attached.
+    ``options`` are the keyword options of :meth:`CudaSW.search`
+    (``engine``, ``workers``, ``group_size``, ``split_threshold``,
+    ``fault_policy``, ``memory_budget``, ``resume``, ...), applied to
+    every query's search; an unknown one raises :class:`TypeError`
+    there.  A fault policy's deadline is per query, not per campaign.
 
     ``checkpoint`` names a *base* path for crash-safe write-ahead
     journals, one per query: query ``i`` journals to
     ``<checkpoint>.q<i>`` (zero-padded).  With ``resume=True``,
     already-complete queries replay entirely from their journals and a
     partially journaled query recomputes only its missing groups, so a
-    killed campaign restarts from where it died.  ``memory_budget``
-    caps per-group sweep memory exactly as in :meth:`CudaSW.search`.
+    killed campaign restarts from where it died.
 
     ``collect`` (``"off"|"counters"|"full"``) opens one campaign-level
     observability session spanning every query: per-query phase spans
@@ -144,10 +130,7 @@ def search_batch(
                 else f"{os.fspath(checkpoint)}.q{i:04d}"
             )
             result, report = app.search(
-                query, db, engine=engine, workers=workers,
-                fault_policy=fault_policy, checkpoint=journal_path,
-                resume=resume, memory_budget=memory_budget,
-                split_threshold=split_threshold,
+                query, db, checkpoint=journal_path, **options
             )
             results.append(result)
             reports.append(report)
@@ -163,8 +146,8 @@ def search_batch(
         "batch_queries": len(queries),
         "database_sequences": len(db_view),
         "database_residues": db_view.total_residues,
-        "engine": engine,
-        "workers": workers,
+        "engine": options.get("engine", "batched"),
+        "workers": options.get("workers", 1),
         "campaign_gcups": out[1].gcups,
     }
     if isinstance(db, DatabaseStore):

@@ -322,11 +322,8 @@ class CudaSW:
             the split threshold sweeps as bounded-padding strip groups
             (:mod:`repro.engine.lanes`), and each bulk group with the
             row or Farrar striped kernel the fitted cost model of
-            :mod:`repro.engine.kernels` picks for the query length.
-            ``"hetero"`` is the same engine and also takes
-            ``split_threshold``; ``"striped"`` sweeps every group with
-            the striped kernel and its saturating 8/16-bit score tiers
-            (:mod:`repro.engine.striped`);
+            :mod:`repro.engine.kernels` picks for the query length;
+            ``"hetero"`` is a second name for it.
             ``"antidiagonal"`` runs the per-pair wavefront aligner,
             ``"scalar"`` the textbook reference.  All engines are
             bit-identical, which tests verify; they differ only in
@@ -392,7 +389,7 @@ class CudaSW:
             when this search joins an outer session, which owns the
             session configuration).
         split_threshold:
-            The length split, ``engine="hetero"`` only: ``"auto"`` (the
+            The length split, packed engines only: ``"auto"`` (the
             default; tuned per query by
             :func:`repro.app.threshold.tune_split_threshold`) or an
             integer length ``>= 0`` — longer sequences go to the
@@ -443,7 +440,7 @@ class CudaSW:
             raise ValueError(
                 f"checkpoint, resume, fault_policy, memory_budget and "
                 f"split_threshold apply to the packed engines "
-                f"{tuple(PACKED_ENGINES)} only (got engine={engine!r}, "
+                f"{PACKED_ENGINES} only (got engine={engine!r}, "
                 f"simulate_kernels={simulate_kernels})"
             )
 

@@ -109,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--db-verify", choices=("fast", "deep"), default="fast",
         help="store validation tier at open: 'fast' (default) checks "
         "the header and every index section, 'deep' additionally "
-        "CRC-walks the residue blob and recomputes the content "
-        "fingerprint and geometry",
+        "CRC-walks the residue blob, recomputes the content "
+        "fingerprint and re-checks the length sort",
     )
     p_search.add_argument(
         "--db-fallback", action="store_true",
@@ -143,16 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
         "groups per NumPy sweep, the long tail as bounded-padding strip "
         "groups, each bulk group with the row (gotoh) or Farrar striped "
         "kernel a fitted cost model picks for the query length; "
-        "'striped' sweeps every group with the striped kernel, "
         "'antidiagonal' is the per-pair wavefront aligner, 'scalar' the "
         "slow textbook reference",
     )
     p_search.add_argument(
         "--split-threshold", type=_threshold_arg, default=None,
         metavar="auto|N",
-        help="hetero engine only: route sequences longer than N to the "
-        "strip kernel ('auto', the default, tunes N per query with the "
-        "kernel cost model)",
+        help="route sequences longer than N to the strip kernel ('auto', "
+        "the default, tunes N per query with the kernel cost model; "
+        f"{_PACKED} engines only)",
     )
     p_search.add_argument(
         "--workers", type=int, default=1,
@@ -271,19 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_db_build = db_sub.add_parser(
         "build",
         help="pack a FASTA database into an .rdb store, once, offline: "
-        "encoded residues, group geometry, id index and per-section "
-        "CRCs behind a fingerprinted header, written atomically "
-        "(temp + fsync + rename) so a crash can never leave a "
-        "readable partial store",
+        "encoded residues, length index and sort, id index and "
+        "per-section CRCs behind a fingerprinted header, written "
+        "atomically (temp + fsync + rename) so a crash can never leave "
+        "a readable partial store",
     )
     p_db_build.add_argument("fasta", help="database FASTA file (streamed)")
     p_db_build.add_argument("store", help="output .rdb path")
     p_db_build.add_argument(
         "--group-size", type=int, default=None, metavar="N",
-        help="lanes per packed group of the stored geometry tables "
-        "(default: the engine's tuned default); it only sets the size "
-        "that repro db info and DatabaseStore.plan_for report, since "
-        "every search plans its groups from the index",
+        help="group size recorded in the store (default: the engine's "
+        "tuned default); it only sets the size that repro db info and "
+        "DatabaseStore.plan_for report, since every search plans its "
+        "groups from the index",
     )
     p_db_build.add_argument(
         "--comment", default="", metavar="TEXT",
@@ -297,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_db_verify.add_argument("store", help=".rdb path")
     p_db_verify.add_argument(
         "--deep", action="store_true",
-        help="full-CRC walk: also checksum the residue blob and "
-        "recompute the content fingerprint and group geometry "
-        "(O(database), not O(index))",
+        help="full-CRC walk: also checksum the residue blob, "
+        "recompute the content fingerprint and re-check the length "
+        "sort (O(database), not O(index))",
     )
     p_db_info = db_sub.add_parser(
         "info",

@@ -163,9 +163,8 @@ class EngineReport:
     padded_cells: int
     #: The lane kernel each group was swept with (one entry per group).
     lane_engines: tuple[str, ...]
-    #: The length past which sequences went to strips groups
-    #: (``None`` for the single-kernel ``striped`` engine).
-    split_threshold: int | None = None
+    #: The length past which sequences went to strips groups.
+    split_threshold: int = 0
 
     @property
     def n_groups(self) -> int:
@@ -189,19 +188,14 @@ class BatchedEngine:
     ``matrix`` and ``gaps`` are the scoring model, shared by every
     search through this engine.  ``config`` is the validated
     :class:`~repro.engine.config.SearchConfig`; its engine must be one
-    of :data:`PACKED_ENGINES`:
-
-    * ``"batched"`` (the default) and ``"hetero"`` are one engine:
-      sequences past the split threshold pack into ``strips`` groups,
-      and each bulk group gets the kernel (``gotoh`` or ``striped``)
-      the fitted cost model of :mod:`repro.engine.kernels` prices
-      lowest at this query's length.  The same model tunes the
-      threshold per query unless ``hetero``'s ``split_threshold`` pins
-      it;
-    * ``"striped"`` sweeps every group with the ``striped`` kernel.
-
-    Scores are bit-identical on every engine and kernel; only
-    throughput differs.
+    of :data:`PACKED_ENGINES` (``"batched"``, or its second name
+    ``"hetero"``).  Sequences past the split threshold pack into
+    ``strips`` groups, and each bulk group gets the kernel (``gotoh``
+    or ``striped``) the fitted cost model of
+    :mod:`repro.engine.kernels` prices lowest at this query's length.
+    The same model tunes the threshold per query unless the config's
+    ``split_threshold`` pins it.  Scores are bit-identical on every
+    kernel; only throughput differs.
 
     With ``workers > 1`` a search smaller than the fan-out floor still
     runs serially (counted as ``engine.executor.fanout_demotions``):
@@ -220,7 +214,7 @@ class BatchedEngine:
         if not config.packed:
             raise ValueError(
                 f"BatchedEngine runs the packed engines "
-                f"{tuple(PACKED_ENGINES)}, got engine={config.engine!r}"
+                f"{PACKED_ENGINES}, got engine={config.engine!r}"
             )
         self.matrix = matrix
         self.gaps = gaps
@@ -295,23 +289,19 @@ class BatchedEngine:
                 else np.argsort(db.lengths, kind="stable")
             )
             sorted_lengths = db.lengths[order]
-            # The split: pinned, tuned for this query's length, or none
-            # for a single-kernel engine, which packs everything as bulk.
-            kernel = PACKED_ENGINES[cfg.engine]
+            # The split: pinned, or tuned for this query's length.
             threshold = cfg.split_threshold
-            if kernel is not None:
-                threshold = None
-            elif not isinstance(threshold, int):
+            if not isinstance(threshold, int):
                 threshold = tune_split_threshold(
                     sorted_lengths, group_size=cfg.group_size,
                     query_length=len(q_codes),
                 )
             plan, kernels = plan_groups(
                 sorted_lengths, len(q_codes), cfg.group_size, threshold,
-                kernel=kernel, budget=cfg.memory_budget,
+                budget=cfg.memory_budget,
             )
             groups = pack_plan(db, order, plan, kernels)
-            if instr.enabled and threshold is not None:
+            if instr.enabled:
                 self._count_dispatch(instr, groups, threshold)
         workers = cfg.workers
         policy = cfg.fault_policy or DEFAULT_POLICY

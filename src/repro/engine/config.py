@@ -2,10 +2,9 @@
 
 :class:`SearchConfig` holds every setting of a search besides its
 query, database and checkpoint: the engine, the worker count, the group
-size, the hetero split threshold, the memory budget and the fault
-policy.  It is validated once, when it is built, and handed unchanged
-from :meth:`repro.app.CudaSW.search` to
-:class:`~repro.engine.BatchedEngine`.
+size, the split threshold, the memory budget and the fault policy.  It
+is validated once, when it is built, and handed unchanged from
+:meth:`repro.app.CudaSW.search` to :class:`~repro.engine.BatchedEngine`.
 """
 
 from __future__ import annotations
@@ -29,17 +28,11 @@ __all__ = [
 #: group — and several groups exist to fan out across workers.
 DEFAULT_GROUP_SIZE = 128
 
-#: The packed engines, which sort the database into lane groups, and the
-#: lane kernel (:data:`~repro.engine.kernels.LANE_KERNELS`) each sweeps
-#: every group with.  ``batched`` and ``hetero`` are one engine with
-#: none: the cost model picks each group's kernel for the query length
-#: (:func:`~repro.engine.kernels.plan_groups`); only ``hetero`` takes a
-#: pinned ``split_threshold``.
-PACKED_ENGINES: dict[str, str | None] = {
-    "batched": None,
-    "striped": "striped",
-    "hetero": None,
-}
+#: The packed engine, which sorts the database into lane groups and
+#: lets the cost model pick each group's kernel for the query length
+#: (:func:`~repro.engine.kernels.plan_groups`): ``batched``, and
+#: ``hetero``, a second name for it.
+PACKED_ENGINES = ("batched", "hetero")
 
 #: Every engine a search can run: the per-pair aligners, then the
 #: packed engines.
@@ -60,9 +53,9 @@ class SearchConfig:
     group_size:
         Lanes per packed group.
     split_threshold:
-        ``engine="hetero"`` only: ``"auto"`` (the default, tuned per
-        query by :func:`~repro.engine.kernels.tune_split_threshold`) or
-        a length ``>= 0``; longer sequences go to the strip kernel.
+        Packed engines only: ``"auto"`` (the default, tuned per query
+        by :func:`~repro.engine.kernels.tune_split_threshold`) or a
+        length ``>= 0``; longer sequences go to the strip kernel.
     memory_budget:
         Packed engines only: a
         :class:`~repro.engine.budget.MemoryBudget` capping one group's
@@ -91,18 +84,13 @@ class SearchConfig:
             raise ValueError(
                 f"group size must be positive, got {self.group_size}"
             )
-        for name in ("memory_budget", "fault_policy"):
+        for name in ("split_threshold", "memory_budget", "fault_policy"):
             if getattr(self, name) is not None and not self.packed:
                 raise ValueError(
                     f"{name} applies to the packed engines "
-                    f"{tuple(PACKED_ENGINES)} only, got engine={self.engine!r}"
+                    f"{PACKED_ENGINES} only, got engine={self.engine!r}"
                 )
         threshold = self.split_threshold
-        if threshold is not None and self.engine != "hetero":
-            raise ValueError(
-                f"split_threshold applies to engine='hetero' only, "
-                f"got engine={self.engine!r}"
-            )
         if (isinstance(threshold, str) and threshold != "auto") or (
             isinstance(threshold, int) and threshold < 0
         ):

@@ -3,7 +3,7 @@
 Every search used to re-read FASTA, re-sort, re-pack and re-encode the
 database, and the pool executor re-shipped whole packed lane matrices
 through pickle on every dispatch.  SWAPHI-style preprocessed database
-partitions argue for building the packed, grouped, engine-ready
+partitions argue for building the encoded, length-sorted, engine-ready
 representation **once, offline, on disk**; this module is that artifact
 plus the paranoid reader it requires.  A persistent file that outlives
 the process is hostile input: it sees the same torn-write, corruption
@@ -21,8 +21,7 @@ On-disk layout (all integers little-endian; see ``docs/db-format.md``)::
     [72:76]  u32: header JSON length
     [76:..]  header JSON (ascii) + u32 CRC32 of the JSON bytes
     [..:EOF] binary sections, back to back, in header-table order:
-             lengths / offsets / sort_order / id_offsets / ids /
-             geometry / codes
+             lengths / offsets / sort_order / id_offsets / ids / codes
 
 The header JSON carries the format version, a sha256 **fingerprint** of
 the database content, the alphabet, and a section table (relative
@@ -35,10 +34,14 @@ Validation is tiered:
 * ``verify="fast"`` (the open default) checks the magic, the header
   frame and CRC, the version, the section table's bounds, and the CRC
   plus structural consistency of every *index* section (lengths,
-  offsets, sort order, ids, geometry) — O(index), never O(residues);
+  offsets, sort order, ids) — O(index), never O(residues);
 * ``verify="deep"`` additionally CRC-walks the residue blob,
-  recomputes the content fingerprint, and re-derives the group
-  geometry from the index, refusing on any disagreement.
+  recomputes the content fingerprint, and checks that the sort order
+  is the stable length argsort, refusing on any disagreement.
+
+A store holds the index and the residues, never a plan: every search
+plans its groups from the index for its own query
+(:func:`~repro.engine.kernels.plan_groups`).
 
 ``fallback="fasta"`` degrades gracefully: instead of dying on a
 refused store, :func:`open_database` warns, charges the
@@ -65,14 +68,7 @@ import numpy as np
 
 from repro.alphabet import DNA, PROTEIN, Alphabet
 from repro.engine.budget import MemoryBudget
-from repro.engine.pack import (
-    TAIL_EFFICIENCY_FLOOR,
-    ChunkPlan,
-    PackedGroup,
-    apply_budget,
-    pack_group,
-    plan_chunks,
-)
+from repro.engine.pack import ChunkPlan, PackedGroup, pack_group, plan_chunks
 from repro.obs import current as obs_current
 from repro.sequence.database import Database
 from repro.sequence.fasta import iter_fasta_file
@@ -97,7 +93,7 @@ MAGIC = b"RPRODB01"
 
 #: Header JSON format version.  Bump on any incompatible layout change;
 #: the reader refuses version skew instead of guessing.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Bytes of free-form comment between the magic and the header frame.
 #: Informational only and deliberately outside every checksum: it is the
@@ -111,18 +107,10 @@ _CRC = struct.Struct("<I")
 
 #: Section names, in file order.  ``codes`` is last so every other
 #: section can be validated without touching the residue blob.
-_SECTIONS = (
-    "lengths", "offsets", "sort_order", "id_offsets", "ids",
-    "geometry", "codes",
-)
+_SECTIONS = ("lengths", "offsets", "sort_order", "id_offsets", "ids", "codes")
 
 #: Validation tiers accepted by :func:`open_database`.
 _VERIFY_TIERS = ("fast", "deep")
-
-#: Geometry plan flavors persisted per store: ``row`` is the gotoh
-#: row-sweep plan (tail gap split at :data:`TAIL_EFFICIENCY_FLOOR`),
-#: ``column`` the striped column-sweep plan (no gap split).
-_PLAN_KINDS = {"row": TAIL_EFFICIENCY_FLOOR, "column": 0.0}
 
 _ALPHABETS: dict[str, Alphabet] = {"protein": PROTEIN, "dna": DNA}
 
@@ -136,7 +124,7 @@ class DatabaseFormatError(Exception):
 
     Raised on every defect the tiered validation detects — bad magic,
     version skew, truncated or overlapping sections, CRC mismatches,
-    index/geometry/fingerprint disagreement — and on plain I/O failure
+    index/fingerprint disagreement — and on plain I/O failure
     to read the file.  The refusal is deliberate: rebuilding from FASTA
     is always correct, searching a silently wrong database never is.
     """
@@ -242,7 +230,6 @@ class DatabaseStore:
         database: Database,
         group_size: int,
         sort_order: np.ndarray,
-        plans: dict[str, tuple[list[tuple[int, int]], int]],
         comment: str,
     ) -> None:
         self.path = path
@@ -250,7 +237,6 @@ class DatabaseStore:
         self.database = database
         self.group_size = group_size
         self.sort_order = sort_order
-        self._plans = plans
         self.comment = comment
 
     def __len__(self) -> int:
@@ -265,28 +251,19 @@ class DatabaseStore:
     def plan_for(
         self, kind: str, *, budget: MemoryBudget | None = None
     ) -> ChunkPlan:
-        """The stored group geometry for one engine flavor.
+        """The fixed-size chunking of the sorted index at the store's
+        group size: :func:`~repro.engine.pack.plan_chunks` over the
+        sorted lengths (tail gap split, then ``budget`` splits).
 
-        ``kind`` is ``"row"`` (gotoh row sweep, tail gap split) or
-        ``"column"`` (striped column sweep, no gap split).  ``budget``
-        working-set splits apply on top of the stored ranges — the
-        identical operation :func:`~repro.engine.pack.plan_chunks`
-        performs, so the result is bit-equal to planning from scratch.
+        ``kind`` must be ``"row"``, the only plan a store reports.
+        Searches do not read it; they plan per query with
+        :func:`~repro.engine.kernels.plan_groups`.
         """
-        if kind not in self._plans:
-            raise ValueError(
-                f"plan kind must be one of {sorted(self._plans)}, "
-                f"got {kind!r}"
-            )
-        ranges, tail_splits = self._plans[kind]
-        budget_splits = budget_extra = 0
-        if budget is not None:
-            sorted_lengths = self.lengths[self.sort_order]
-            ranges, budget_splits, budget_extra = apply_budget(
-                ranges, sorted_lengths, budget
-            )
-        return ChunkPlan(list(ranges), tail_splits, budget_splits,
-                         budget_extra)
+        if kind != "row":
+            raise ValueError(f"plan kind must be 'row', got {kind!r}")
+        return plan_chunks(
+            self.lengths[self.sort_order], self.group_size, budget=budget
+        )
 
 
 # ----------------------------------------------------------------------
@@ -324,9 +301,10 @@ def build_store(
     The file is assembled in a temp file in the target directory,
     ``fsync``'d, then renamed over ``path`` (and the directory fsync'd),
     so a SIGKILL at any instant leaves either the old store or no store
-    — never a readable partial ``.rdb``.  Group geometry for both sweep
-    flavors is planned here, once, with :func:`plan_chunks`; searches
-    reuse it instead of re-sorting and re-planning per query.
+    — never a readable partial ``.rdb``.  The stable length sort is
+    stored once, so a search plans its groups from the index without
+    re-sorting; ``group_size`` is recorded for ``repro db info`` and
+    :meth:`DatabaseStore.plan_for`.
     """
     if group_size <= 0:
         raise ValueError(f"group size must be positive, got {group_size}")
@@ -342,18 +320,6 @@ def build_store(
     instr = obs_current()
     with instr.span("db_build"):
         order = np.argsort(db.lengths, kind="stable")
-        sorted_lengths = db.lengths[order]
-        plans = {}
-        for kind, floor in _PLAN_KINDS.items():
-            plan = plan_chunks(sorted_lengths, group_size, tail_floor=floor)
-            plans[kind] = {
-                "ranges": [[int(s), int(e)] for s, e in plan.ranges],
-                "tail_splits": plan.tail_splits,
-            }
-        geometry = json.dumps(
-            {"group_size": group_size, "plans": plans},
-            separators=(",", ":"),
-        ).encode("ascii")
         ids_bytes, id_offsets = _ids_blob(db)
         fingerprint = database_fingerprint(db)
 
@@ -363,7 +329,6 @@ def build_store(
             ("sort_order", _le64(order), "<i8", len(db)),
             ("id_offsets", _le64(id_offsets), "<i8", len(db) + 1),
             ("ids", ids_bytes, "bytes", len(ids_bytes)),
-            ("geometry", geometry, "json", len(geometry)),
             ("codes", memoryview(db._codes), "u1", db.total_residues),
         ]
         sections = []
@@ -482,7 +447,7 @@ def open_database(
     ``verify`` selects the validation tier: ``"fast"`` (default)
     checks the header and every index section — O(index); ``"deep"``
     additionally CRC-walks the residue blob, recomputes the content
-    fingerprint and re-derives the stored geometry — O(database).
+    fingerprint and re-checks the length sort — O(database).
     Every defect raises :class:`DatabaseFormatError`.
 
     ``fallback="fasta"`` (with ``fasta=<path>``) degrades gracefully:
@@ -702,11 +667,9 @@ def _assemble(
         raise _refuse(path, "offsets/lengths index is inconsistent")
     if not np.array_equal(np.sort(order), np.arange(n, dtype=np.int64)):
         raise _refuse(path, "sort order is not a permutation")
-    sorted_lengths = lengths[order]
-    if np.any(np.diff(sorted_lengths) < 0):
+    if np.any(np.diff(lengths[order]) < 0):
         raise _refuse(path, "sort order does not sort the lengths")
     ids = _decode_ids(path, raw["ids"], id_offsets, n)
-    plans = _decode_geometry(path, raw["geometry"], group_size, n)
     try:
         codes = np.memmap(
             path, dtype=np.uint8, mode="r",
@@ -728,7 +691,6 @@ def _assemble(
         database=database,
         group_size=group_size,
         sort_order=order,
-        plans=plans,
         comment=comment,
     )
 
@@ -769,52 +731,6 @@ def _decode_ids(
         raise _refuse(path, f"id blob is not valid UTF-8 ({exc})") from exc
 
 
-def _decode_geometry(
-    path: Path, blob: bytes, group_size: int, n: int
-) -> dict[str, tuple[list[tuple[int, int]], int]]:
-    try:
-        geometry = json.loads(blob.decode("ascii"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise _refuse(path, f"geometry is not valid JSON ({exc})") from exc
-    if (
-        not isinstance(geometry, dict)
-        or geometry.get("group_size") != group_size
-        or not isinstance(geometry.get("plans"), dict)
-        or set(geometry["plans"]) != set(_PLAN_KINDS)
-    ):
-        raise _refuse(path, "geometry disagrees with the header")
-    plans: dict[str, tuple[list[tuple[int, int]], int]] = {}
-    for kind, plan in geometry["plans"].items():
-        ranges_raw = plan.get("ranges") if isinstance(plan, dict) else None
-        tail_splits = plan.get("tail_splits") if isinstance(plan, dict) else None
-        if not isinstance(ranges_raw, list) or not isinstance(
-            tail_splits, int
-        ):
-            raise _refuse(path, f"malformed geometry plan {kind!r}")
-        cursor = 0
-        ranges: list[tuple[int, int]] = []
-        for pair in ranges_raw:
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)
-                or pair[0] != cursor
-                or pair[1] <= pair[0]
-            ):
-                raise _refuse(
-                    path, f"geometry plan {kind!r} has invalid ranges"
-                )
-            ranges.append((pair[0], pair[1]))
-            cursor = pair[1]
-        if cursor != n:
-            raise _refuse(
-                path,
-                f"geometry plan {kind!r} covers {cursor} of {n} sequences",
-            )
-        plans[kind] = (ranges, tail_splits)
-    return plans
-
-
 def _verify_deep(
     path: Path,
     data_start: int,
@@ -823,7 +739,7 @@ def _verify_deep(
     store: DatabaseStore,
 ) -> None:
     """The full-CRC walk: residue blob CRC, fingerprint recomputation,
-    and geometry re-derivation, each refusing on disagreement."""
+    and the stable length sort, each refusing on disagreement."""
     instr = obs_current()
     with instr.span("db_verify"):
         codes = store.database._codes
@@ -838,22 +754,8 @@ def _verify_deep(
                 "content fingerprint disagrees with the header "
                 "(edited or spliced store)",
             )
-        sorted_lengths = store.lengths[store.sort_order]
         expected_order = np.argsort(store.lengths, kind="stable")
         if not np.array_equal(store.sort_order, expected_order):
             raise _refuse(
                 path, "sort order is not the stable length argsort"
             )
-        for kind, floor in _PLAN_KINDS.items():
-            expected = plan_chunks(
-                sorted_lengths, store.group_size, tail_floor=floor
-            )
-            ranges, tail_splits = store._plans[kind]
-            if (
-                ranges != expected.ranges
-                or tail_splits != expected.tail_splits
-            ):
-                raise _refuse(
-                    path,
-                    f"stored {kind!r} geometry disagrees with the index",
-                )

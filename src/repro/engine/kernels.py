@@ -253,15 +253,15 @@ def plan_groups(
     group_size: int,
     threshold: int | None,
     *,
-    kernel: str | None = None,
     budget: MemoryBudget | None = None,
 ) -> tuple[ChunkPlan, list[str]]:
     """Group ranges over the length-sorted database, and each one's kernel.
 
     The :func:`~repro.engine.pack.plan_split` geometry: tail chunks are
-    ``strips``; each bulk chunk is ``kernel`` if given, else the bulk
-    kernel the cost model prices lowest at ``m``.  Scores never depend
-    on the choice, only the sweep time does.
+    ``strips``; each bulk chunk is the bulk kernel the cost model
+    prices lowest at ``m``.  This is the one place a search's groups
+    and kernels are decided.  Scores never depend on the choice, only
+    the sweep time does.
     """
     plan, n_bulk = plan_split(
         sorted_lengths, group_size, threshold, budget=budget
@@ -269,7 +269,7 @@ def plan_groups(
     kernels = [
         "strips"
         if start >= n_bulk
-        else (kernel or _cheapest_bulk_kernel(sorted_lengths[start:end], m))
+        else _cheapest_bulk_kernel(sorted_lengths[start:end], m)
         for start, end in plan.ranges
     ]
     return plan, kernels

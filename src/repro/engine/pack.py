@@ -44,7 +44,6 @@ __all__ = [
     "TAIL_EFFICIENCY_FLOOR",
     "ChunkPlan",
     "PackedGroup",
-    "apply_budget",
     "pack_group",
     "pack_database",
     "pack_database_hetero",
@@ -238,35 +237,6 @@ def _gap_split(
     )
 
 
-def apply_budget(
-    ranges: "list[tuple[int, int]]",
-    sorted_lengths: np.ndarray,
-    budget: MemoryBudget,
-) -> tuple[list[tuple[int, int]], int, int]:
-    """Split planned ranges so each fits the budget's working set.
-
-    The budget half of :func:`plan_chunks`, factored out so a
-    pre-planned geometry — the ranges a database store persisted at
-    build time — can have a *search-time* budget applied on top and
-    come out bit-identical to planning from scratch with that budget.
-    Returns ``(ranges, budget_splits, budget_extra_groups)``.
-    """
-    budget_splits = budget_extra = 0
-    split_ranges: list[tuple[int, int]] = []
-    for start, end in ranges:
-        ends = budget.split_points(
-            [int(x) for x in sorted_lengths[start:end]]
-        )
-        if len(ends) > 1:
-            budget_splits += 1
-            budget_extra += len(ends) - 1
-        prev = 0
-        for cut in ends:
-            split_ranges.append((start + prev, start + cut))
-            prev = cut
-    return split_ranges, budget_splits, budget_extra
-
-
 def plan_chunks(
     sorted_lengths: np.ndarray,
     group_size: int,
@@ -299,12 +269,22 @@ def plan_chunks(
         pieces = _gap_split(sorted_lengths, last[0], last[1], tail_floor)
         tail_splits = len(pieces) - 1
         ranges.extend(pieces)
+    if budget is None:
+        return ChunkPlan(ranges, tail_splits, 0, 0)
     budget_splits = budget_extra = 0
-    if budget is not None:
-        ranges, budget_splits, budget_extra = apply_budget(
-            ranges, sorted_lengths, budget
+    split_ranges: list[tuple[int, int]] = []
+    for start, end in ranges:
+        ends = budget.split_points(
+            [int(x) for x in sorted_lengths[start:end]]
         )
-    return ChunkPlan(ranges, tail_splits, budget_splits, budget_extra)
+        if len(ends) > 1:
+            budget_splits += 1
+            budget_extra += len(ends) - 1
+        prev = 0
+        for cut in ends:
+            split_ranges.append((start + prev, start + cut))
+            prev = cut
+    return ChunkPlan(split_ranges, tail_splits, budget_splits, budget_extra)
 
 
 def _record_pack_counters(

@@ -90,3 +90,19 @@ class TestSearchBatch:
         )
         for a, b in zip(batched, wavefront):
             assert np.array_equal(a.scores, b.scores)
+
+    def test_group_size_threads_through(self, db_small):
+        rng = np.random.default_rng(5)
+        app = CudaSW(TESLA_C1060)
+        queries = [random_protein(30, rng, id=f"q{i}") for i in range(2)]
+        results, _ = search_batch(app, queries, db_small, group_size=4)
+        assert app.last_engine_report.group_size == 4
+        for query, result in zip(queries, results):
+            solo, _ = app.search(query, db_small, group_size=4)
+            assert np.array_equal(result.scores, solo.scores)
+
+    def test_unknown_option_rejected(self, db_small):
+        app = CudaSW(TESLA_C1060)
+        queries = [random_protein(30, np.random.default_rng(6), id="q0")]
+        with pytest.raises(TypeError):
+            search_batch(app, queries, db_small, lane_width=4)

@@ -22,12 +22,14 @@ GP = GapPenalty.cudasw_default()
     "kwargs, match",
     [
         ({"engine": "simd"}, "engine"),
-        # A whole search on the strip kernel is hetero at threshold 0.
+        # No engine names a kernel: a whole search on the strip kernel
+        # is split_threshold=0, on the striped kernel a long query.
         ({"engine": "strips"}, "engine"),
+        ({"engine": "striped"}, "engine"),
         ({"workers": 0}, "workers"),
         ({"group_size": 0}, "group size"),
-        ({"split_threshold": 100}, "split_threshold"),
-        ({"engine": "hetero", "split_threshold": -1}, "split_threshold"),
+        ({"engine": "scalar", "split_threshold": 100}, "split_threshold"),
+        ({"split_threshold": -1}, "split_threshold"),
         ({"engine": "hetero", "split_threshold": "fast"}, "split_threshold"),
         ({"engine": "scalar", "fault_policy": FaultPolicy()}, "fault_policy"),
         (
@@ -36,8 +38,9 @@ GP = GapPenalty.cudasw_default()
         ),
     ],
     ids=[
-        "unknown-engine", "strips-engine", "workers", "group-size",
-        "threshold-not-hetero", "negative-threshold", "threshold-string",
+        "unknown-engine", "strips-engine", "striped-engine", "workers",
+        "group-size", "threshold-per-pair", "negative-threshold",
+        "threshold-string",
         "policy-per-pair", "budget-per-pair",
     ],
 )

@@ -3,7 +3,7 @@
 The contract under test (see :mod:`repro.engine.dbstore` and
 ``docs/db-format.md``): a store-backed search is **bit-identical** to
 the FASTA path for every engine and worker count; every detectable
-defect — bad magic, truncation, CRC mismatch, version skew, geometry
+defect — bad magic, truncation, CRC mismatch, version skew, index
 or fingerprint disagreement — is refused with
 :class:`DatabaseFormatError`; and the single checksum-exempt region
 (the 64-byte comment field) is the only place corruption may pass
@@ -46,6 +46,7 @@ from repro.engine.dbstore import (
     database_fingerprint,
 )
 from repro.engine.executor import _init_worker, _score_chunk_task
+from repro.engine.pack import plan_chunks
 from repro.sequence import Database, Sequence, write_fasta
 from repro.sequence.fasta import iter_fasta_file, read_fasta_file
 from repro.sw import sw_score_scalar
@@ -73,6 +74,13 @@ def db():
 def query():
     rng = np.random.default_rng(62)
     return Sequence.random("q", 36, rng)
+
+
+@pytest.fixture(scope="module")
+def long_query():
+    """Long enough that the cost model plans all six groups striped."""
+    rng = np.random.default_rng(64)
+    return Sequence.random("q-long", 400, rng)
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +128,7 @@ def degenerate(query, tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def reference(db, query):
+def _scalar_scores(db, query):
     return np.array(
         [
             sw_score_scalar(query.codes, db.codes_of(i), BLOSUM62, GP)
@@ -129,6 +136,16 @@ def reference(db, query):
         ],
         dtype=np.int64,
     )
+
+
+@pytest.fixture(scope="module")
+def reference(db, query):
+    return _scalar_scores(db, query)
+
+
+@pytest.fixture(scope="module")
+def long_reference(db, long_query):
+    return _scalar_scores(db, long_query)
 
 
 # ----------------------------------------------------------------------
@@ -160,12 +177,13 @@ def test_build_refuses_bad_inputs(db, tmp_path):
         Database.from_sequences([])
 
 
-#: One search config per lane kernel that sweeps every group with that
-#: kernel (``strips`` alone is hetero past a zero split), plus hetero at
-#: a fixed, the tuned and a split past every length.
+#: One search config per lane kernel whose plan sweeps every group with
+#: that kernel (``gotoh`` at the 36-aa query, ``striped`` at the 400-aa
+#: one, ``strips`` past a zero split), plus a fixed, the tuned and a
+#: split past every length, under the engine's second name.
 LANE_CONFIGS = {
     "gotoh": SearchConfig(group_size=GROUP),
-    "striped": SearchConfig(engine="striped", group_size=GROUP),
+    "striped": SearchConfig(group_size=GROUP),
     "strips": SearchConfig(
         engine="hetero", group_size=GROUP, split_threshold=0
     ),
@@ -182,7 +200,8 @@ LANE_CONFIGS = {
 @pytest.mark.parametrize("lane", list(LANE_CONFIGS))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_store_scores_bit_identical(
-    db, query, store, reference, degenerate, lane, workers
+    db, query, long_query, store, reference, long_reference, degenerate,
+    lane, workers,
 ):
     """Every lane kernel, serial and on a pool forced by an explicit
     fault policy, from FASTA and from the store, is bit-identical to
@@ -200,9 +219,14 @@ def test_store_scores_bit_identical(
         "hetero-auto": {"gotoh"},
         "hetero-no-tail": {"gotoh"},
     }.get(lane, {lane})
+    q, ref = (
+        (long_query, long_reference)
+        if lane == "striped"
+        else (query, reference)
+    )
     for target in (db, store):
-        scores, report = engine.search(query, target)
-        assert np.array_equal(scores, reference)
+        scores, report = engine.search(q, target)
+        assert np.array_equal(scores, ref)
         assert set(report.lane_engines) == expected
     for name, small_db, small_store, small_reference in degenerate:
         for target in (small_db, small_store):
@@ -306,12 +330,16 @@ def _reframe(src: Path, dst: Path, mutate) -> Path:
 
 
 def test_refuses_version_skew(store_path, tmp_path):
-    def bump(h):
-        h["version"] = FORMAT_VERSION + 1
+    """A newer store, and a version 1 store (which held a group
+    geometry section), are both refused before any section is read."""
+    for version in (FORMAT_VERSION - 1, FORMAT_VERSION + 1):
 
-    bad = _reframe(store_path, tmp_path / "skew.rdb", bump)
-    with pytest.raises(DatabaseFormatError, match="version skew"):
-        open_database(bad, verify="fast")
+        def bump(h):
+            h["version"] = version
+
+        bad = _reframe(store_path, tmp_path / f"skew{version}.rdb", bump)
+        with pytest.raises(DatabaseFormatError, match="version skew"):
+            open_database(bad, verify="fast")
 
 
 def test_refuses_fingerprint_tamper(store_path, tmp_path):
@@ -326,15 +354,6 @@ def test_refuses_fingerprint_tamper(store_path, tmp_path):
     # ... deep tier must catch it.
     with pytest.raises(DatabaseFormatError, match="fingerprint"):
         _open_deep(bad)
-
-
-def test_refuses_geometry_tamper(store_path, tmp_path):
-    def shrink(h):
-        h["group_size"] = GROUP + 1
-
-    bad = _reframe(store_path, tmp_path / "geom.rdb", shrink)
-    with pytest.raises(DatabaseFormatError, match="geometry"):
-        open_database(bad, verify="fast")
 
 
 def test_refuses_index_crc_flip(store_path, tmp_path):
@@ -506,11 +525,12 @@ def test_store_vs_fasta_checkpoints_disagree(db, query, store, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Geometry and budget
+# Planning and budget
 # ----------------------------------------------------------------------
 def test_stored_plan_with_budget_matches_packing(db, query, store):
-    """A memory budget applied to the stored plan is bit-equal to
-    planning with the budget from scratch — groups and scores."""
+    """A budgeted search of the store plans from its in-memory index
+    exactly as the FASTA search plans from the database: the same
+    groups and the same scores."""
     budget = MemoryBudget(max_group_bytes=200_000)
     plain = BatchedEngine(
         BLOSUM62, GP,
@@ -523,9 +543,21 @@ def test_stored_plan_with_budget_matches_packing(db, query, store):
     assert base_report.group_size == store_report.group_size
 
 
+def test_plan_for_is_plan_chunks_over_the_sorted_index(db, store):
+    """``plan_for("row")`` is computed on demand, not stored: it equals
+    :func:`plan_chunks` over the sorted lengths at the store's group
+    size, with and without a budget."""
+    sorted_lengths = np.sort(db.lengths, kind="stable")
+    for budget in (None, MemoryBudget(max_group_bytes=60_000)):
+        expected = plan_chunks(sorted_lengths, GROUP, budget=budget)
+        assert store.plan_for("row", budget=budget) == expected
+    assert store.plan_for("row", budget=budget).budget_splits > 0
+
+
 def test_plan_for_validates_kind(store):
-    with pytest.raises(ValueError, match="plan kind"):
-        store.plan_for("diagonal")
+    for kind in ("diagonal", "column"):
+        with pytest.raises(ValueError, match="plan kind"):
+            store.plan_for(kind)
 
 
 # ----------------------------------------------------------------------

@@ -365,16 +365,17 @@ class TestCostModelKnobs:
         from repro.cuda import TESLA_C2050
 
         app = CudaSW(TESLA_C2050)
-        result, _ = app.search(
-            corpus["query"], corpus["db"], engine="hetero",
-            split_threshold=0,
-        )
-        assert np.array_equal(result.scores, corpus["reference"])
-        assert app.last_engine_report.split_threshold == 0
-        assert set(app.last_engine_report.lane_engines) == {"strips"}
+        for engine in ("batched", "hetero"):
+            result, _ = app.search(
+                corpus["query"], corpus["db"], engine=engine,
+                split_threshold=0,
+            )
+            assert np.array_equal(result.scores, corpus["reference"])
+            assert app.last_engine_report.split_threshold == 0
+            assert set(app.last_engine_report.lane_engines) == {"strips"}
         with pytest.raises(ValueError, match="split_threshold"):
             app.search(
-                corpus["query"], corpus["db"], engine="batched",
+                corpus["query"], corpus["db"], engine="scalar",
                 split_threshold=0,
             )
 

@@ -12,17 +12,29 @@ compare against :func:`~repro.sw.scalar.sw_score_scalar`:
   lazy-F wrap carries vertical gaps across lanes;
 * every kernel forced onto every group of a planned database, with
   group sizes on both sides of the row and strip sweeps' scan rule and
-  buffer lengths around powers of two.
+  buffer lengths around powers of two;
+* the packed engine end to end, from a database or a ``.rdb`` store,
+  at the split and kernels its own planner picks.
 """
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.alphabet import PROTEIN, GapPenalty, SubstitutionMatrix
-from repro.engine import LANE_KERNELS, pack_plan, score_packed_group_striped
+from repro.alphabet import BLOSUM62, PROTEIN, GapPenalty, SubstitutionMatrix
+from repro.engine import (
+    LANE_KERNELS,
+    BatchedEngine,
+    SearchConfig,
+    build_store,
+    open_database,
+    pack_plan,
+    score_packed_group_striped,
+)
 from repro.engine.kernels import plan_groups
 from repro.engine.lanes import _takes_doubling, _working_dtype
 from repro.engine.pack import pack_group
@@ -193,3 +205,62 @@ class TestForcedKernelsAgainstScalar:
                     branch = "one-strip" if strips == group.size else "carry"
                     event(f"strips {branch} branch")
             assert scores.tolist() == expected, name
+
+
+@st.composite
+def packed_searches(draw):
+    """A query, a database, a matrix, penalties, a group size and a
+    split for one packed-engine search."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    group_size = draw(st.integers(1, 8))
+    # Subjects of one residue and one either side of the group size.
+    lengths = draw(st.lists(
+        st.one_of(
+            st.just(1),
+            st.sampled_from(
+                sorted({group_size - 1, group_size, group_size + 1} - {0})
+            ),
+            st.integers(1, 30),
+        ),
+        min_size=1, max_size=12,
+    ))
+    longest = max(lengths)
+    # A query much longer than the subjects makes the planner pick
+    # striped bulk groups, a short one gotoh.
+    m = draw(st.integers(1, 4 * longest))
+    matrix = draw(st.one_of(
+        st.just(BLOSUM62),
+        st.integers(1, 2**12).map(lambda k: _matrix(rng, k, True)),
+    ))
+    threshold = draw(st.one_of(
+        st.just("auto"), st.just(0), st.sampled_from(lengths),
+        st.just(longest + 1),
+    ))
+    query = Sequence.random("q", m, rng)
+    db = Database.from_sequences(
+        [Sequence.random(f"d{i}", n, rng) for i, n in enumerate(lengths)]
+    )
+    return query, db, matrix, draw(gap_penalties()), group_size, threshold
+
+
+class TestPackedEngineAgainstScalar:
+    @settings(max_examples=100, deadline=None)
+    @given(case=packed_searches(), from_store=st.booleans())
+    def test_search_matches_scalar(self, case, from_store):
+        query, db, matrix, gaps, group_size, threshold = case
+        expected = [sw_score_scalar(query, d, matrix, gaps) for d in db]
+        engine = BatchedEngine(
+            matrix, gaps,
+            SearchConfig(group_size=group_size, split_threshold=threshold),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            source = db
+            if from_store:
+                path = Path(tmp) / "db.rdb"
+                build_store(db, path, group_size=group_size)
+                source = open_database(path, verify="deep")
+            scores, report = engine.search(query, source)
+            del source
+        assert scores.tolist() == expected
+        event("kernels: " + "+".join(sorted(set(report.lane_engines))))
+        event("from a store" if from_store else "from a database")

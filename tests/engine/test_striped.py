@@ -1,12 +1,14 @@
-"""Striped (Farrar) lane engine: equivalence, saturation tiers, wiring.
+"""Striped (Farrar) lane kernel: equivalence, saturation tiers, wiring.
 
-The engine's contract is *bit-identity* with the scalar reference on
+The kernel's contract is *bit-identity* with the scalar reference on
 every lane — including lanes that saturate the ``uint8`` tier at its
 cap, lanes that blow through the ``int16`` tier into the exact int64
 fallback, and the boundaries one unit either side of each cap.  The
-tests here pin those boundaries explicitly (satellite of the striped
-PR), plus the profile geometry, the executor/pool parity of the
-``engine.striped.*`` counters, and the fan-out demotion gate.
+tests here pin those boundaries explicitly, plus the profile geometry,
+the executor/pool parity of the ``engine.striped.*`` counters, and the
+fan-out demotion gate.  No engine forces the kernel: search-level cases
+use a query long enough that the cost model plans striped groups, and
+pin the split past the longest subject so no group goes to strips.
 """
 
 import numpy as np
@@ -52,6 +54,10 @@ def _match_matrix(match: int, mismatch: int = -1, name: str = "match"):
     w = np.full((n, n), mismatch, dtype=np.int32)
     np.fill_diagonal(w, match)
     return type(BLOSUM62)(name, BLOSUM62.alphabet, w)
+
+
+#: A split past every subject of these tests: the whole database is bulk.
+NO_TAIL = 100_000
 
 
 def _self_db(query, lengths):
@@ -126,15 +132,19 @@ class TestStripedEquivalence:
         rng = np.random.default_rng(gaps.rho % 97)
         engine = BatchedEngine(
             BLOSUM62, gaps,
-            SearchConfig(group_size=5, engine="striped"),
+            SearchConfig(group_size=5, split_threshold=NO_TAIL),
         )
-        for m in (1, 23, 130):
+        # A 1-aa query plans all gotoh, a 23-aa one mixes the two bulk
+        # kernels, and a 130-aa one plans every group striped.
+        for m, planned in (
+            (1, {"gotoh"}), (23, {"gotoh", "striped"}), (130, {"striped"}),
+        ):
             query = random_protein(m, rng, id="q")
             scores, report = engine.search(query, ragged_db)
             assert np.array_equal(
                 scores, _reference(query, ragged_db, BLOSUM62, gaps)
             )
-            assert set(report.lane_engines) == {"striped"}
+            assert set(report.lane_engines) == planned
 
     def test_matches_scalar_on_derived_matrix(self, ragged_db):
         # A Henikoff-built matrix with a different score range than
@@ -160,13 +170,14 @@ class TestStripedEquivalence:
         gaps = GapPenalty.cudasw_default()
         engine = BatchedEngine(
             matrix, gaps,
-            SearchConfig(group_size=4, engine="striped"),
+            SearchConfig(group_size=4, split_threshold=NO_TAIL),
         )
-        query = random_protein(37, rng, id="q")
-        scores, _ = engine.search(query, ragged_db)
+        query = random_protein(150, rng, id="q")
+        scores, report = engine.search(query, ragged_db)
         assert np.array_equal(
             scores, _reference(query, ragged_db, matrix, gaps)
         )
+        assert set(report.lane_engines) == {"striped"}
 
     def test_small_target_lanes_exercise_many_wraps(self, ragged_db):
         # Tiny stripes force the inter-lane wrap machinery constantly;
@@ -275,31 +286,41 @@ class TestSaturationBoundaries:
         assert c["engine.striped.overflow_reruns"] == 1
 
     def test_forced_rerun_matches_full_search_path(self):
-        # End-to-end: the app-level striped search stays bit-exact when
-        # lanes saturate and re-run.
+        # End-to-end: a search whose plan is all striped stays bit-exact
+        # when lanes saturate and re-run.  The 1,000-aa query makes the
+        # cost model pick striped for these 2-300 aa subjects.
         rng = np.random.default_rng(43)
         matrix = _match_matrix(1)
         gaps = GapPenalty.cudasw_default()
-        query = random_protein(300, rng, id="q")
+        query = random_protein(1000, rng, id="q")
         db = _self_db(query, [50, 253, 260, 300, 2])
         engine = BatchedEngine(
             matrix, gaps,
-            SearchConfig(group_size=3, engine="striped"),
+            SearchConfig(group_size=3, split_threshold=NO_TAIL),
         )
-        scores, _ = engine.search(query, db)
+        with obs.collect("counters") as instr:
+            scores, report = engine.search(query, db)
         assert np.array_equal(scores, _reference(query, db, matrix, gaps))
+        assert set(report.lane_engines) == {"striped"}
+        assert instr.counters.get("engine.striped.overflow_reruns") >= 1
 
 
 class TestExecutorParity:
     def test_pool_counters_match_serial(self, ragged_db):
+        # At 200 aa the cost model plans all four groups striped.
         rng = np.random.default_rng(50)
-        query = random_protein(60, rng, id="q")
+        query = random_protein(200, rng, id="q")
         gaps = GapPenalty.cudasw_default()
 
         def counters(workers):
             engine = BatchedEngine(
-                BLOSUM62, gaps, # force the pool despite the size,
-                SearchConfig(group_size=4, workers=workers, engine="striped", fault_policy=FaultPolicy()),
+                BLOSUM62, gaps,
+                # An explicit fault policy forces the pool despite the
+                # size.
+                SearchConfig(
+                    group_size=4, workers=workers, split_threshold=NO_TAIL,
+                    fault_policy=FaultPolicy(),
+                ),
             )
             with obs.collect("counters") as instr:
                 scores, _ = engine.search(query, ragged_db)
@@ -385,31 +406,29 @@ class TestFanoutDemotion:
 
 class TestAppIntegration:
     def test_striped_engine_end_to_end(self, ragged_db):
+        # A query much longer than every subject: the default engine's
+        # plan sweeps striped groups.
         rng = np.random.default_rng(70)
-        query = random_protein(45, rng, id="q")
+        query = random_protein(300, rng, id="q")
         app = CudaSW()
-        base, _ = app.search(query, ragged_db, engine="batched")
-        got, report = app.search(
-            query, ragged_db, engine="striped", collect="counters"
-        )
+        base, _ = app.search(query, ragged_db, engine="antidiagonal")
+        got, report = app.search(query, ragged_db, collect="counters")
         assert np.array_equal(got.scores, base.scores)
         run = app.last_run_report
-        assert run.meta["engine"] == "striped"
-        assert run.engine["lane_engines"] == ["striped"]
+        assert run.meta["engine"] == "batched"
+        assert "striped" in run.engine["lane_engines"]
         assert run.counters["engine.striped.groups"] >= 1
 
     def test_striped_checkpoint_resume(self, ragged_db, tmp_path):
         rng = np.random.default_rng(71)
-        query = random_protein(25, rng, id="q")
+        query = random_protein(300, rng, id="q")
         app = CudaSW()
         journal = tmp_path / "striped.journal"
-        first, _ = app.search(
-            query, ragged_db, engine="striped", checkpoint=journal
-        )
+        first, _ = app.search(query, ragged_db, checkpoint=journal)
+        assert "striped" in app.last_engine_report.lane_engines
         # Resume replays the completed journal rather than recomputing.
         resumed, _ = app.search(
-            query, ragged_db, engine="striped",
-            checkpoint=journal, resume=True,
+            query, ragged_db, checkpoint=journal, resume=True,
         )
         assert np.array_equal(first.scores, resumed.scores)
         assert np.array_equal(

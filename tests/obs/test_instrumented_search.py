@@ -44,6 +44,14 @@ def query():
     return random_protein(80, rng, id="q-obs")
 
 
+@pytest.fixture(scope="module")
+def long_query():
+    """Long enough that the cost model plans striped groups in ``db``
+    at group size 4 (the 80-aa query plans none)."""
+    rng = np.random.default_rng(13)
+    return random_protein(400, rng, id="q-obs-long")
+
+
 class TestBitExactCounters:
     def test_pack_counters_match_engine_report(self, query, db):
         app = CudaSW()
@@ -116,7 +124,9 @@ class TestBitExactCounters:
             got, _ = app.search(query, db, collect=mode)
             np.testing.assert_array_equal(got.scores, base.scores)
 
-    def test_striped_fanout_counters_identical_to_serial(self, query, db):
+    def test_striped_fanout_counters_identical_to_serial(
+        self, long_query, db
+    ):
         # Even the data-dependent striped counters (lazy-F rounds,
         # skipped F columns) must agree: workers score under their own
         # sessions and ship the registries back, so the pooled totals
@@ -124,12 +134,13 @@ class TestBitExactCounters:
         policy = FaultPolicy(chunksize=1)
         serial = CudaSW()
         serial.search(
-            query, db, engine="striped", collect="counters",
+            long_query, db, collect="counters",
             workers=1, group_size=4, fault_policy=policy,
         )
+        assert "striped" in serial.last_engine_report.lane_engines
         fanned = CudaSW()
         fanned.search(
-            query, db, engine="striped", collect="counters",
+            long_query, db, collect="counters",
             workers=2, group_size=4, fault_policy=policy,
         )
         a = dict(serial.last_run_report.counters)
@@ -195,20 +206,21 @@ class TestWorkingDtypeCounters:
 
 
 class TestWorkerLanes:
-    """The tentpole acceptance search: workers=2, striped engine, full
-    collection with memory phases — worker span lanes, populated
+    """The acceptance search: workers=2, a plan holding striped groups,
+    full collection with memory phases — worker span lanes, populated
     histograms, memory peaks and a loadable Chrome trace."""
 
     @pytest.fixture(scope="class")
-    def run(self, query, db):
+    def run(self, long_query, db):
         app = CudaSW()
         app.search(
-            query, db, engine="striped", collect="full",
+            long_query, db, collect="full",
             memory_phases=True, workers=2, group_size=4,
             fault_policy=FaultPolicy(chunksize=1),
         )
         report = app.last_run_report
         assert report is not None
+        assert "striped" in report.engine["lane_engines"]
         return report
 
     def test_worker_lane_spans_present(self, run):
@@ -379,17 +391,28 @@ class _SpyInstrumentation:
 
 
 class TestOffModeOverhead:
-    @pytest.mark.parametrize("engine", ["batched", "striped"])
-    def test_off_mode_overhead_within_two_percent(self, query, db, engine):
+    # "batched" plans the 80-aa query's bulk gotoh; "striped" is the
+    # 400-aa query at group size 4, whose plan holds striped groups.
+    @pytest.mark.parametrize("kernel", ["batched", "striped"])
+    def test_off_mode_overhead_within_two_percent(
+        self, query, long_query, db, kernel
+    ):
         app = CudaSW()
+        if kernel == "striped":
+            query = long_query
+            search = {"group_size": 4}
+        else:
+            search = {}
 
         # 1. How many instrumentation touch-points does one search emit?
         spy = _SpyInstrumentation()
         token = obs_context._ACTIVE.set(spy)
         try:
-            app.search(query, db, engine=engine)
+            app.search(query, db, **search)
         finally:
             obs_context._ACTIVE.reset(token)
+        if kernel == "striped":
+            assert "striped" in app.last_engine_report.lane_engines
         sites = spy.calls
         assert sites > 0
 
@@ -405,13 +428,13 @@ class TestOffModeOverhead:
         # 3. Compare against the real search time (best of 3 to shave
         #    scheduler noise; overhead bound is what matters).
         search_seconds = min(
-            _timed(lambda: app.search(query, db, engine=engine))
+            _timed(lambda: app.search(query, db, **search))
             for _ in range(3)
         )
         overhead = sites * per_site
         assert overhead <= 0.02 * search_seconds, (
             f"off-mode instrumentation cost {overhead * 1e6:.1f}us over "
-            f"{sites} sites vs {engine} search {search_seconds * 1e3:.2f}ms"
+            f"{sites} sites vs {kernel} search {search_seconds * 1e3:.2f}ms"
         )
 
 

@@ -140,6 +140,29 @@ class TestSearch:
                  "--engine", "warp"]
             )
 
+    def test_kernel_names_are_not_engines(self, fasta_files):
+        """The planner picks each group's kernel; no engine forces one."""
+        for kernel in ("striped", "strips", "gotoh"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(
+                    ["search", fasta_files["query"], fasta_files["db"],
+                     "--engine", kernel]
+                )
+            assert exc.value.code == 2
+
+    def test_split_threshold_on_the_default_engine(self, fasta_files):
+        def hits(*flags):
+            code, text = run_cli(
+                ["search", fasta_files["query"], fasta_files["db"],
+                 "--top", "5", *flags]
+            )
+            assert code == 0
+            return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+        assert hits("--split-threshold", "0") == hits(
+            "--engine", "antidiagonal"
+        )
+
     def test_engine_line_printed_for_every_engine(self, fasta_files):
         for engine in ("scalar", "antidiagonal", "batched"):
             code, text = run_cli(
