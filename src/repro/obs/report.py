@@ -56,6 +56,7 @@ def _engine_report_dict(engine_report: EngineReport) -> dict[str, Any]:
         "group_size": engine_report.group_size,
         "workers": engine_report.workers,
         "lane_engines": sorted(set(engine_report.lane_engines)),
+        "split_threshold": engine_report.split_threshold,
         "n_groups": engine_report.n_groups,
         "group_sizes": list(engine_report.group_sizes),
         "group_max_lengths": list(engine_report.group_max_lengths),

@@ -80,7 +80,7 @@ def query():
 def long_query():
     """Long enough that the cost model plans all six groups striped."""
     rng = np.random.default_rng(64)
-    return Sequence.random("q-long", 400, rng)
+    return Sequence.random("q-long", 600, rng)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ def test_build_refuses_bad_inputs(db, tmp_path):
 
 
 #: One search config per lane kernel whose plan sweeps every group with
-#: that kernel (``gotoh`` at the 36-aa query, ``striped`` at the 400-aa
+#: that kernel (``gotoh`` at the 36-aa query, ``striped`` at the 600-aa
 #: one, ``strips`` past a zero split), plus a fixed, the tuned and a
 #: split past every length, under the engine's second name.
 LANE_CONFIGS = {

@@ -183,16 +183,61 @@ def _locals_at_return(fn, *args, frame_of=None):
 
 
 def _buffer_dtypes(frame, ndim):
-    """Dtypes of the integer ``ndim``-D arrays in ``frame``, other than
-    the ``intp`` gather index ``codes``."""
+    """Dtypes of the integer ``ndim``-D arrays in ``frame``."""
     return {
         name: value.dtype
         for name, value in frame.items()
         if isinstance(value, np.ndarray)
         and value.ndim == ndim
         and value.dtype.kind in "iu"
-        and name != "codes"
     }
+
+
+class TestMostlyPaddedGroups:
+    """Pads score 0, above every similarity of an all-negative matrix,
+    and are not masked out of the running maximum: groups that are
+    mostly padding still score exactly, whether or not H and E cross
+    strip boundaries."""
+
+    WIDTH = 40
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[1, WIDTH], [WIDTH, 1, 1, WIDTH], [1] * 5 + [WIDTH]],
+        ids=["one-and-W", "interleaved", "mostly-ones"],
+    )
+    @pytest.mark.parametrize(
+        "offset", [0, -12], ids=["blosum62", "all-negative"]
+    )
+    def test_scores_exactly(self, lengths, offset):
+        rng = np.random.default_rng(13)
+        query = Sequence.random("q", 30, rng)
+        # The long subjects repeat the query, so a value leaking from
+        # their pads into a one-residue neighbour would show.
+        subjects = [
+            Sequence(f"d{i}", np.resize(query.codes, n))
+            if n == self.WIDTH
+            else Sequence.random(f"d{i}", n, rng)
+            for i, n in enumerate(lengths)
+        ]
+        matrix = SubstitutionMatrix(
+            "BLOSUM62 + offset", PROTEIN, BLOSUM62.scores + offset
+        )
+        profile = QueryProfile(query.codes, matrix)
+        expected = [sw_score_scalar(query, d, matrix, GP) for d in subjects]
+        # One strip per subject: W - 1 pads beside each residue.
+        assert score_packed_group(
+            profile, _group(subjects), GP
+        ).tolist() == expected
+        # At W every subject fits one strip; at 7 the long ones span
+        # six, the last with two pad columns.
+        for width, carries in ((self.WIDTH, False), (7, True)):
+            scores, frame = _locals_at_return(
+                score_packed_group_strips, profile,
+                _group(subjects, "strips", width), GP, frame_of=_sweep,
+            )
+            assert scores.tolist() == expected, width
+            assert frame["carries"] == carries
 
 
 class TestWorkingBuffersStayInRung:
@@ -200,8 +245,10 @@ class TestWorkingBuffersStayInRung:
     dtype when the sweep returns.  A rebinding such as
     ``f = f - np.int64(sigma)`` widens the row sweep's int16 rung to
     int64 and leaves every score exact, so only a dtype check catches
-    it."""
+    it.  The row sweep's similarity tiles are the one buffer outside
+    the rung: int8 while the matrix fits, the rung's dtype past 127."""
 
+    @pytest.mark.parametrize("scale", [1, 20], ids=["int8-tiles", "wide-tiles"])
     @pytest.mark.parametrize(
         "lengths", [[3, 17, 30], [3, 17, 30] * 22],
         ids=["accumulate", "doubling"],
@@ -217,14 +264,17 @@ class TestWorkingBuffersStayInRung:
         ids=["row-one-strip", "strips-carry", "strips-one-strip"],
     )
     def test_buffers_keep_the_rung_dtype(
-        self, entry, width, branch, gaps, lengths
+        self, entry, width, branch, gaps, lengths, scale
     ):
         rng = np.random.default_rng(11)
         query = Sequence.random("q", 20, rng)
         subjects = [
             Sequence.random(f"d{i}", n, rng) for i, n in enumerate(lengths)
         ]
-        profile = QueryProfile(query.codes, BLOSUM62)
+        matrix = SubstitutionMatrix(
+            "BLOSUM62 x scale", PROTEIN, BLOSUM62.scores * scale
+        )
+        profile = QueryProfile(query.codes, matrix)
         if entry == "gotoh":
             fn, group = score_packed_group, _group(subjects)
         else:
@@ -237,7 +287,7 @@ class TestWorkingBuffersStayInRung:
             fn, profile, group, gaps, frame_of=_sweep
         )
         assert scores.tolist() == [
-            sw_score_scalar(query, d, BLOSUM62, gaps) for d in subjects
+            sw_score_scalar(query, d, matrix, gaps) for d in subjects
         ]
         # The entry point swept at the width and took the branch its id
         # names, and the cross-strip carry stayed int64.
@@ -249,6 +299,12 @@ class TestWorkingBuffersStayInRung:
         # doubling scan's second buffer is among the checked ones.
         lanes = frame["spare"].shape[1]
         assert _takes_doubling(lanes, expected) == (len(lengths) > 3)
+        # One (W, strips) similarity tile per distinct query symbol.
+        tiles = frame["tiles"]
+        assert tiles.shape == (
+            np.unique(query.codes).size, width, lanes
+        )
+        assert tiles.dtype == (np.int8 if scale == 1 else expected)
         buffers = _buffer_dtypes(frame, 2)
         assert len(buffers) >= 5, buffers
         assert all(dtype == expected for dtype in buffers.values()), buffers

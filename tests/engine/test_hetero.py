@@ -410,13 +410,13 @@ class TestKernelCostModel:
     @pytest.mark.parametrize(
         "n, tail, group_size, m, expected",
         [
-            (500, 12, 128, 350, 694),
+            (500, 12, 128, 350, 653),
             (500, 12, 64, 350, 795),
-            (500, 12, 8, 350, 1737),
-            (500, 12, 128, 60, 694),
+            (500, 12, 8, 350, 4095),
+            (500, 12, 128, 60, 653),
             (60, 2, 128, 40, 0),
             (1_000, 0, 128, 300, 685),
-            (200, 0, 128, 100, 248),
+            (200, 0, 128, 100, 234),
         ],
     )
     def test_tuner_picks_pinned_for_bench_shapes(
@@ -431,13 +431,11 @@ class TestKernelCostModel:
     @pytest.mark.parametrize(
         "n, tail, m, expected",
         [
-            # Striped on the two shortest bulk groups, gotoh on the
-            # rest, and a strips tail.
+            # A gotoh bulk and a strips tail on every bench shape.
             pytest.param(
-                1_000, 0, 300, ["striped"] * 2 + ["gotoh"] * 5 + ["strips"],
+                1_000, 0, 300, ["gotoh"] * 7 + ["strips"],
                 id="bulk_fasta-300",
             ),
-            # A gotoh bulk at cli_small's query and at 60 aa.
             pytest.param(
                 200, 0, 100, ["gotoh", "strips"], id="cli_small-100"
             ),
@@ -447,7 +445,7 @@ class TestKernelCostModel:
                 id="campaign_checkpoint-60",
             ),
             pytest.param(
-                500, 12, 350, ["striped"] + ["gotoh"] * 3 + ["strips"],
+                500, 12, 350, ["gotoh"] * 4 + ["strips"],
                 id="tail_store_fanned-350",
             ),
         ],

@@ -95,11 +95,15 @@ class TestRunReport:
             residues=15,
             padded_cells=20,
             lane_engines=("gotoh",),
+            split_threshold=7,
         )
         report = RunReport.from_instrumentation(
             _session(), engine_report=er
         )
         assert report.engine["padding_efficiency"] == pytest.approx(0.75)
+        # The kernels come with the split they were planned at.
+        assert report.engine["lane_engines"] == ["gotoh"]
+        assert report.engine["split_threshold"] == 7
         assert "engine packing" in report.render_profile()
 
     def test_model_section_from_search_report(self):
