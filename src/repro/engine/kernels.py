@@ -69,6 +69,14 @@ __all__ = [
 # 8-lane gotoh groups of 1,200-4,095 aa swept at 6.1-6.8 ns a cell at
 # m = 350-500 (best of three, same host), int16 or int32 rung alike,
 # where the model prices 0.71-0.83 of the measured time.
+#
+# These constants predate the row sweep's scan-depth cap and its array
+# clamp (``lanes._sweep``), which made gotoh and strips cheaper and their
+# cost depend on the scores as well as the shape.  Re-measured by the
+# same fit on the same host with both in place: gotoh 2.25 ns a cell
+# plus 32,200 ns a row, strips 1.78 plus 54,500 (median relative error
+# 22% and 16%), striped 5.53 plus 52,300.  They are not refit, so every
+# plan and tuned split stays as it was.
 GOTOH_CELL_COST = 3.5  # per cell of the padded lanes x max_len rectangle
 GOTOH_ROW_OVERHEAD = 28_000.0
 STRIPED_CELL_COST = 5.6  # per cell of the lanes x m striped query block

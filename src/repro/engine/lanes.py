@@ -55,6 +55,14 @@ maxima of contiguous blocks, each over every lane, instead of one
 rule on lane count and dtype (:data:`_DOUBLING_MIN_LANES`) picks the
 faster of the two per group.
 
+The doubling scan runs only as deep as a gap can still score, where
+Snytsar's lazy-F loop stops too: a running bound on the row's scores
+caps how many columns an E term can carry a positive score across, and
+the scan stops doubling once its window covers them (the exactness
+argument is in :func:`_sweep`).  Unrelated subjects score far below the
+gap cost of their lengths, so on a database search most rows take a
+few of the full ``ceil(log2 W)`` steps.
+
 When a subject spans several strips, H and E flow across its strip
 boundaries within a DP row, and both dependencies close in scan form:
 
@@ -87,7 +95,7 @@ from typing import Callable
 import numpy as np
 
 from repro.alphabet import GapPenalty
-from repro.engine.pack import DEFAULT_STRIP_WIDTH, PackedGroup
+from repro.engine.pack import DEFAULT_STRIP_WIDTH, PackedGroup, strip_counts
 from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.profile import QueryProfile
 from repro.sw.utils import validate_penalties
@@ -106,19 +114,32 @@ __all__ = [
 #: at any lane count and dtype.  The doubling scan makes ``log2`` passes
 #: over the buffer and pays a call per pass, so it needs enough lanes
 #: per row to amortize both.  Measured on a 2-CPU x86-64 host (numpy
-#: 2.4), the scan alone over 512-2,500 rows: doubling wins from about
-#: 16 lanes in int16 (1.6-2.3 against 3.1-3.4 ns/element at 16 lanes,
-#: 0.8-1.3 against 2.9-3.3 at 128) and from 32 in int32 (2.1-2.3
-#: against 2.7-2.9 at 32 lanes); on 256 rows both need twice the lanes.
-#: It loses badly on a one-lane group (13-83 against 4-10).  In int64
-#: it breaks even at best (3.5 against 3.6 at 64 lanes); the rung needs
-#: penalties near the validation cap, hence long rows, and there whole
-#: gotoh sweeps ran up to 28% slower with it at 64 and 128 lanes over
-#: 1,000-2,500 columns.
+#: 2.4), the scan alone at full depth over 512-2,500 rows: doubling wins
+#: from about 16 lanes in int16 (1.6-2.3 against 3.1-3.4 ns/element at
+#: 16 lanes, 0.8-1.3 against 2.9-3.3 at 128) and from 32 in int32
+#: (2.1-2.3 against 2.7-2.9 at 32 lanes); on 256 rows both need twice
+#: the lanes.  It loses badly on a one-lane group (13-83 against 4-10).
+#: In int64 it breaks even at best (3.5 against 3.6 at 64 lanes); the
+#: rung needs penalties near the validation cap, hence long rows, and
+#: there whole gotoh sweeps ran up to 28% slower with it at 64 and 128
+#: lanes over 1,000-2,500 columns.
+#:
+#: The depth cap (:func:`_sweep`) moves the crossover with the data, so
+#: the rule stays.  Whole gotoh sweeps, same host: on random subjects
+#: doubling won from 12-16 lanes in both narrow rungs (int32, m = 1,200,
+#: 24 lanes over 360 columns: 5.1 against 7.0 ns/cell), but one homolog
+#: lane keeps every later row of its group at full depth, and there it
+#: lost below the crossovers above (same shape: 8.5 against 6.4).  The
+#: table is in ``docs/engine.md``.
 _DOUBLING_MIN_LANES: dict[np.dtype, int] = {
     np.dtype(np.int16): 16,
     np.dtype(np.int32): 32,
 }
+
+
+#: Rows between exact reductions of the running maximum that bounds
+#: the doubling scan's depth (see :func:`_sweep`).
+_BOUND_EVERY = 4
 
 
 def _takes_doubling(lanes: int, dtype: np.dtype | type) -> bool:
@@ -127,15 +148,27 @@ def _takes_doubling(lanes: int, dtype: np.dtype | type) -> bool:
     return lanes >= _DOUBLING_MIN_LANES.get(np.dtype(dtype), np.inf)
 
 
-def _prefix_max(g: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Inclusive prefix maximum of ``g`` down axis 0, lane by lane.
+def _doubling_steps(reach: int, n: int) -> int:
+    """Steps the doubling scan takes down ``n`` rows at ``reach``: the
+    fewest whose window ``2**steps`` covers ``min(reach, n)``, so at most
+    ``ceil(log2 n)`` and none when ``reach <= 1``."""
+    return max(min(reach, n) - 1, 0).bit_length()
+
+
+def _prefix_max(g: np.ndarray, spare: np.ndarray, reach: int) -> np.ndarray:
+    """Prefix maximum of ``g`` down axis 0, lane by lane, as deep as
+    ``reach`` rows.
 
     ``g`` and ``spare`` are the sweep's two ``(n, lanes)`` scratch
     buffers; both are clobbered, and the returned one holds the scan.
     Groups the :data:`_DOUBLING_MIN_LANES` rule sends to the doubling
     scan ping-pong between the two buffers: step ``k`` folds each row
-    ``j >= k`` with row ``j - k``, ``ceil(log2 n)`` steps in all.  The
-    rest take ``np.maximum.accumulate`` in place.
+    ``j >= k`` with row ``j - k``, and the scan stops once its window
+    covers ``reach`` rows (:func:`_doubling_steps`).  Row ``j`` of the
+    result is then the maximum of rows ``j - 2**steps + 1 .. j``, the
+    whole prefix once ``reach >= n``.  The rest take
+    ``np.maximum.accumulate`` in place, the whole prefix at any
+    ``reach``.
     """
     n, lanes = g.shape
     if not _takes_doubling(lanes, g.dtype):
@@ -143,12 +176,11 @@ def _prefix_max(g: np.ndarray, spare: np.ndarray) -> np.ndarray:
         np.maximum.accumulate(g, axis=0, out=g)  # repro-lint: disable=RPL101
         return g
     src, dst = g, spare
-    k = 1
-    while k < n:
+    for step in range(_doubling_steps(reach, n)):
+        k = 1 << step
         dst[:k] = src[:k]
         np.maximum(src[k:], src[:-k], out=dst[k:])
         src, dst = dst, src
-        k *= 2
     return src
 
 
@@ -159,12 +191,16 @@ def count_sweep_work(
     width: int,
     strips: int,
     dtype: type,
+    scan_steps: int,
 ) -> None:
     """Charge one gotoh group sweep's work counters.
 
     Useful vs. padded cells is the Figure 2 distinction: the sweep
     *computes* the whole ``(size, max_len)`` rectangle ``m`` times, but
-    only ``m * residues`` of those cells are real DP cells.  Groups
+    only ``m * residues`` of those cells are real DP cells.
+    ``scan_steps`` is the doubling steps the sweep ran, at most ``m *
+    ceil(log2 width)``, and is charged only when some ran (none do on
+    the accumulate side).  Groups
     scored in pool workers charge these counts worker-side, and each
     accepted chunk ships its registry back as telemetry that the parent
     merges once (see ``repro.engine.executor``), so totals are identical
@@ -175,6 +211,8 @@ def count_sweep_work(
     instr.count("engine.sweep.lane_steps", m * strips)
     instr.count("engine.sweep.useful_cells", m * group.residues)
     instr.count("engine.sweep.padded_cells", m * strips * width)
+    if scan_steps:
+        instr.count("engine.sweep.scan_steps", scan_steps)
     if dtype is np.int16:
         instr.count("engine.sweep.int16_groups", 1)
 
@@ -186,13 +224,15 @@ def count_strips_work(
     width: int,
     strips: int,
     dtype: type,
+    scan_steps: int,
 ) -> None:
     """Charge one strip-group sweep's work counters.
 
     ``padded_cells`` is the swept strip rectangle ``strips * W`` per
     query row — the quantity the dispatch decision optimizes — not
     the ``(size, max_len)`` packing rectangle the gotoh kernel would
-    have swept for the same subjects.
+    have swept for the same subjects.  ``scan_steps`` is as for
+    :func:`count_sweep_work`, at most ``m * ceil(log2 W)``.
     """
     instr.count("engine.strips.groups", 1)
     instr.count("engine.strips.sequences", group.size)
@@ -200,6 +240,8 @@ def count_strips_work(
     instr.count("engine.strips.rows", m)
     instr.count("engine.strips.useful_cells", m * group.residues)
     instr.count("engine.strips.padded_cells", m * strips * width)
+    if scan_steps:
+        instr.count("engine.strips.scan_steps", scan_steps)
     if dtype is np.int16:
         instr.count("engine.strips.int16_groups", 1)
 
@@ -336,7 +378,7 @@ def _sweep(
     gaps: GapPenalty,
     w: int,
     charge: Callable[
-        [AnyInstrumentation, int, PackedGroup, int, int, type], None
+        [AnyInstrumentation, int, PackedGroup, int, int, type, int], None
     ],
 ) -> np.ndarray:
     """Optimal local-alignment score of the query against every subject,
@@ -384,11 +426,28 @@ def _sweep(
     thus only relays its own subject's values through steps that never
     add (a 0 similarity, a gap cost), so the running maximum over a
     subject's strips never exceeds its best real cell.
+
+    The doubling scan runs only as deep as a gap can still score.  With
+    ``hi`` the largest similarity (at least 0, the pads') and ``top``
+    the exact maximum of ``best`` after some row ``r``, every H value
+    up to row ``r`` is at most ``top`` (H's row maximum is Htmp's), and
+    each later row raises the maximum by at most ``hi``: row ``r + k``'s
+    Htmp is at most ``bound = top + k * hi``.  An E term opened ``d``
+    columns back is at most ``bound - rho - (d - 1) * sigma``, which is
+    ``<= 0 <= Htmp`` for every ``d > reach = ceil((bound - rho) /
+    sigma)``.  A scan whose window ``2**s`` covers ``reach`` keeps every
+    term with ``d <= 2**s`` and drops only such non-positive ones, so
+    ``H = max(Htmp, E)`` is unchanged; when ``bound <= rho`` no step
+    runs.  With carries, the truncated ``scan[-1]`` drops only terms at
+    least ``2**s`` columns before the next strip, which are already
+    ``<= 0`` there, and E built from it stays a maximum over a subset
+    of the true terms that holds every positive one.  ``top`` is
+    reduced exactly every :data:`_BOUND_EVERY` rows.
     """
     validate_penalties(gaps)
     m = profile.length
     n = group.size
-    counts = np.maximum((group.lengths.astype(np.int64) + w - 1) // w, 1)
+    counts = strip_counts(group.lengths, w)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     strips = int(offsets[-1])
@@ -403,9 +462,6 @@ def _sweep(
     rho, sigma = gaps.rho, gaps.sigma
     max_abs = _max_abs(profile)
     dtype = _working_dtype(m, w, max_abs, gaps)
-    instr = obs_current()
-    if instr.enabled:
-        charge(instr, m, group, w, strips, dtype)
     # The uint8 code tiling and np.take's intp index are freed here,
     # before the buffers are allocated.
     tiles, row_tile = _similarity_tiles(
@@ -454,7 +510,22 @@ def _sweep(
     key = np.empty(strips, dtype=np.int64)
     carry = np.empty(strips, dtype=np.int64)
 
-    for t in row_tile.tolist():
+    #: The largest similarity any cell adds (pads add 0), and the exact
+    #: maximum of best as of the last reduction: with the rows since,
+    #: they bound this row's Htmp and so the scan's depth.
+    hi = max(int(profile.scores.max()), 0)
+    top = 0
+    doubling = _takes_doubling(strips, dtype)
+    scan_steps = 0
+    for i, t in enumerate(row_tile.tolist()):
+        since = i % _BOUND_EVERY
+        if since == 0:
+            top = int(best.max())
+        # Row i's Htmp is at most top + (since + 1) * hi, so E terms
+        # opened more than reach columns back are <= 0 <= Htmp.
+        reach = -((rho - top - (since + 1) * hi) // sigma)
+        if doubling:
+            scan_steps += _doubling_steps(reach, w)
         # F[i] = max(F[i-1] - sigma, H[i-1] - rho), elementwise per lane.
         # g is dead until the scan input overwrites all of it below, so
         # it doubles as the H - rho scratch.
@@ -475,7 +546,11 @@ def _sweep(
             wrap[first] = 0
             np.add(htmp[0], wrap, out=htmp[0])
         np.maximum(htmp, f, out=htmp)
-        np.maximum(htmp, 0, out=htmp)
+        # The clamp at 0 reads a zeroed g (dead until the scan input
+        # below): an integer maximum with a scalar operand misses
+        # NumPy's SIMD loop and costs several times the same-shape one.
+        g.fill(0)
+        np.maximum(htmp, g, out=htmp)
         # The maximum of H equals the maximum of Htmp: E and the carries
         # only relay decayed Htmp values, so folding them in can never
         # raise it.  An elementwise running maximum, reduced once at the
@@ -483,9 +558,9 @@ def _sweep(
         # per-row reduction down axis 0 costs up to 12 ns a cell on a
         # narrow group.
         np.maximum(best, htmp, out=best)
-        # In-strip inclusive prefix maximum of Htmp + j*sigma.
+        # In-strip prefix maximum of Htmp + j*sigma, reach columns deep.
         np.add(htmp, rampw, out=g)
-        scan = _prefix_max(g, spare)
+        scan = _prefix_max(g, spare, reach)
         # E at in-strip column j is max(G[s, j-1], carry[s]) - j*sigma
         # - (rho - sigma), built in h_prev (fully consumed above) as
         # X[j] - rho with X[j] = max(G[j-1], carry) - (j-1)*sigma.
@@ -516,6 +591,9 @@ def _sweep(
         np.subtract(h_prev, rho, out=h_prev)
         np.maximum(h_prev, htmp, out=h_prev)
 
+    instr = obs_current()
+    if instr.enabled:
+        charge(instr, m, group, w, strips, dtype, scan_steps)
     lane_best = best.max(axis=0).astype(np.int64)
     if carries:
         lane_best = np.maximum.reduceat(lane_best, offsets[:-1])

@@ -51,6 +51,7 @@ __all__ = [
     "plan_chunks",
     "plan_split",
     "strip_cells",
+    "strip_counts",
 ]
 
 #: Default strip width for groups swept by the strip engine (DP columns
@@ -64,14 +65,19 @@ DEFAULT_STRIP_WIDTH = 512
 TAIL_EFFICIENCY_FLOOR = 0.5
 
 
+def strip_counts(lengths: np.ndarray, w: int) -> np.ndarray:
+    """Strips of width ``w`` each subject is cut into: ``ceil(len / w)``,
+    at least one (int64)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.maximum((lengths + w - 1) // w, 1)
+
+
 def strip_cells(lengths: np.ndarray, strip_width: int | None) -> int:
     """Cells the strip engine sweeps per query row for these lengths:
     ``ceil(len / W) * W`` each (at least one strip), ``W`` defaulting to
     :data:`DEFAULT_STRIP_WIDTH`."""
     w = strip_width or DEFAULT_STRIP_WIDTH
-    lengths = np.asarray(lengths, dtype=np.int64)
-    counts = np.maximum((lengths + w - 1) // w, 1)
-    return int(counts.sum()) * w
+    return int(strip_counts(lengths, w).sum()) * w
 
 
 @dataclass(frozen=True)

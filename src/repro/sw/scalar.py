@@ -30,7 +30,9 @@ def sw_tables_scalar(
         H[i,j] = max(0, E[i,j], F[i,j], H[i-1,j-1] + w(q_i, d_j))
 
     with zero boundaries for H and ``-inf`` boundaries for E and F.
-    Intended for tests and traceback on small inputs — O(mn) memory.
+    The tables are int64: a local score past ``2**31`` stays exact, and
+    ``NEG_INF`` minus any validated penalty cannot wrap.  Intended for
+    tests and traceback on small inputs — O(mn) memory.
     """
     q = as_codes(query, matrix)
     d = as_codes(database, matrix)
@@ -40,9 +42,9 @@ def sw_tables_scalar(
     rho, sigma = gaps.rho, gaps.sigma
     W = matrix.scores
 
-    H = np.zeros((m + 1, n + 1), dtype=np.int32)
-    E = np.full((m + 1, n + 1), NEG_INF, dtype=np.int32)
-    F = np.full((m + 1, n + 1), NEG_INF, dtype=np.int32)
+    H = np.zeros((m + 1, n + 1), dtype=np.int64)
+    E = np.full((m + 1, n + 1), NEG_INF, dtype=np.int64)
+    F = np.full((m + 1, n + 1), NEG_INF, dtype=np.int64)
 
     for i in range(1, m + 1):
         qi = q[i - 1]

@@ -14,6 +14,7 @@ The acceptance bar for the observability subsystem:
 
 import contextlib
 import json
+import math
 import time
 
 import numpy as np
@@ -163,8 +164,9 @@ class TestBitExactCounters:
 
 class TestWorkingDtypeCounters:
     """The int16 tier counters say which rung each row/strip sweep ran
-    in, and are charged where the group is swept, so pooled runs report
-    the serial totals."""
+    in, the scan-step counters how deep its prefix scans went; both are
+    charged where the group is swept, so pooled runs report the serial
+    totals."""
 
     @pytest.mark.parametrize(
         "engine, extra, kernel",
@@ -196,6 +198,36 @@ class TestWorkingDtypeCounters:
         # An 80-aa query against subjects up to 400 aa under BLOSUM62:
         # every row and strip sweep fits the int16 rung.
         assert serial[kernel + "int16_groups"] == serial[kernel + "groups"] > 0
+
+    @pytest.mark.parametrize(
+        "extra, kernel",
+        [({}, "engine.sweep."), ({"split_threshold": 100}, "engine.strips.")],
+        ids=["gotoh", "strips"],
+    )
+    def test_scan_steps_identical_to_serial(self, query, extra, kernel):
+        # 32-lane groups sweep on the doubling side of the scan rule, so
+        # the steps are charged, and they depend on the scores: workers
+        # must report the serial total.
+        rng = np.random.default_rng(14)
+        wide = Database.from_sequences([
+            Sequence.random(f"w{i}", int(n), rng)
+            for i, n in enumerate(rng.integers(20, 200, size=96))
+        ])
+        runs = []
+        for workers in (1, 2):
+            app = CudaSW()
+            app.search(
+                query, wide, collect="counters", workers=workers,
+                group_size=32, fault_policy=FaultPolicy(chunksize=1), **extra,
+            )
+            runs.append(app.last_run_report.counters)
+        serial, fanned = runs
+        assert fanned.get("engine.executor.worker_round_trips", 0) > 0
+        steps = serial[kernel + "scan_steps"]
+        assert steps == fanned[kernel + "scan_steps"]
+        # Random subjects score far below what the full depth of every
+        # row, ceil(log2 W) steps with W < 200, would be needed for.
+        assert 0 < steps < serial[kernel + "rows"] * math.ceil(math.log2(200))
 
     def test_wide_rung_groups_not_counted(self, query, db):
         app = CudaSW(gaps=GapPenalty(rho=2**20, sigma=2**20))

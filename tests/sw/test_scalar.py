@@ -73,6 +73,26 @@ class TestHandComputed:
         )
 
 
+def _gotoh_python_ints(q, d, scores, rho, sigma):
+    """Smith-Waterman with Gotoh gaps over plain Python ints, which
+    cannot wrap: the reference for scores past any fixed width."""
+    neg = float("-inf")
+    h_up = [0] * (len(d) + 1)
+    f_up = [neg] * (len(d) + 1)
+    best = 0
+    for a in q:
+        h_row, f_row, e = [0], [neg], neg
+        for j, b in enumerate(d, start=1):
+            e = max(e - sigma, h_row[j - 1] - rho)
+            f = max(f_up[j] - sigma, h_up[j] - rho)
+            h = max(0, e, f, h_up[j - 1] + int(scores[a][b]))
+            h_row.append(h)
+            f_row.append(f)
+            best = max(best, h)
+        h_up, f_up = h_row, f_row
+    return best
+
+
 class TestTables:
     def test_boundaries(self):
         H, E, F = sw_tables_scalar("MK", "MKV", BLOSUM62, GP)
@@ -103,6 +123,30 @@ class TestTables:
         assert sw_score_scalar(q, "MKV", BLOSUM62, GP) == sw_score_scalar(
             "MKV", "MKV", BLOSUM62, GP
         )
+
+    def test_scores_past_int32_are_exact(self):
+        # Every protein symbol once, against itself and a shuffle, under
+        # a random symmetric matrix of entries up to 2**30: the optimal
+        # alignment sums many of them, far past int32's range.
+        from repro.alphabet import PROTEIN, SubstitutionMatrix
+
+        rng = np.random.default_rng(24)
+        n = PROTEIN.size
+        upper = np.triu(rng.integers(-(2**30), 2**30 + 1, size=(n, n)))
+        matrix = SubstitutionMatrix(
+            "near-2**30", PROTEIN, upper + np.triu(upper, 1).T
+        )
+        gaps = GapPenalty(rho=2**20, sigma=2**19)
+        query = np.arange(n, dtype=np.uint8)
+        scores = matrix.scores.tolist()
+        for subject in (query, rng.permutation(query)):
+            expected = _gotoh_python_ints(
+                query.tolist(), subject.tolist(), scores, gaps.rho, gaps.sigma
+            )
+            assert expected > 2**31
+            assert sw_score_scalar(query, subject, matrix, gaps) == expected
+        H, E, F = sw_tables_scalar(query, query, matrix, gaps)
+        assert H.dtype == E.dtype == F.dtype == np.int64
 
     def test_wrong_alphabet_sequence_rejected(self):
         from repro.sequence import Sequence
