@@ -10,7 +10,7 @@ test:
 
 lint:
 	PYTHONPATH=src python -m repro.lint src/ benchmarks/ tools/
-	PYTHONPATH=src python -m repro.lint --no-baseline src/repro/engine/
+	PYTHONPATH=src python -m repro.lint src/repro/engine/
 
 typecheck:
 	mypy

@@ -280,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_db_build.add_argument(
         "--group-size", type=int, default=None, metavar="N",
         help="group size recorded in the store (default: the engine's "
-        "tuned default); it only sets the size that repro db info and "
-        "DatabaseStore.plan_for report, since every search plans its "
-        "groups from the index",
+        "tuned default); repro db info reports it and "
+        "DatabaseStore.plan_for('row') cuts the sorted index into "
+        "chunks of it; a search plans its own groups from the index at "
+        "its own --group-size",
     )
     p_db_build.add_argument(
         "--comment", default="", metavar="TEXT",

@@ -339,7 +339,7 @@ class BatchedEngine:
                     else cfg.memory_budget.max_group_bytes
                 ),
                 engines=tuple(
-                    LANE_KERNELS[g.lane_engine].token(g) for g in groups
+                    LANE_KERNELS[g.lane_engine].token for g in groups
                 ),
                 store_fingerprint=(
                     store.fingerprint if store is not None else ""

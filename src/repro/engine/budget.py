@@ -33,29 +33,17 @@ from repro.obs import current as obs_current
 
 __all__ = [
     "MemoryBudget",
-    "SWEEP_BYTES_PER_CELL",
     "estimate_group_bytes",
 ]
 
-#: Estimated working-set bytes per swept cell when the query is not
-#: known (packing without a search): seven int64 sweep buffers (the
-#: widest rung), 24 int8 similarity tiles (a query using the whole
-#: protein alphabet under a matrix whose similarities fit in int8) and
-#: 16 bytes for what the search holds beside the sweep.  A search
-#: plans with its own figure instead,
-#: :func:`~repro.engine.lanes.sweep_bytes_per_cell`, which sees the
-#: query, the matrix and the penalties.  Deliberately conservative —
-#: the budget is an OOM guard, not an allocator.
-SWEEP_BYTES_PER_CELL = 96
 
-
-def estimate_group_bytes(
-    size: int, max_length: int, cell_bytes: int = SWEEP_BYTES_PER_CELL
-) -> int:
+def estimate_group_bytes(size: int, max_length: int, cell_bytes: int) -> int:
     """Estimated peak working-set bytes for sweeping one packed group's
     ``(max_length + 1, size)`` rectangle at ``cell_bytes`` a cell: the
     figure the planner splits with, and the ``--mem-phases`` check
-    compares the traced peak against."""
+    compares the traced peak against.  A search's ``cell_bytes`` is
+    :func:`~repro.engine.lanes.sweep_bytes_per_cell`, which sees the
+    query, the matrix and the penalties."""
     if size < 1 or max_length < 1:
         raise ValueError(
             f"group geometry must be positive, got {size}x{max_length}"
@@ -92,12 +80,7 @@ class MemoryBudget:
             )
         return cls(max_group_bytes=int(megabytes * 2**20))
 
-    def fits(
-        self,
-        size: int,
-        max_length: int,
-        cell_bytes: int = SWEEP_BYTES_PER_CELL,
-    ) -> bool:
+    def fits(self, size: int, max_length: int, cell_bytes: int) -> bool:
         """Whether a ``size x max_length`` group stays within budget at
         ``cell_bytes`` a swept cell."""
         return (
@@ -105,9 +88,7 @@ class MemoryBudget:
             <= self.max_group_bytes
         )
 
-    def split_points(
-        self, lengths: "list[int]", cell_bytes: int = SWEEP_BYTES_PER_CELL
-    ) -> list[int]:
+    def split_points(self, lengths: list[int], cell_bytes: int) -> list[int]:
         """Cut one ascending-length chunk into budget-fitting segments.
 
         ``lengths`` is the chunk's (already length-sorted, ascending)

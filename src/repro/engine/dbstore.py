@@ -67,7 +67,6 @@ from typing import IO, Any
 import numpy as np
 
 from repro.alphabet import DNA, PROTEIN, Alphabet
-from repro.engine.budget import MemoryBudget
 from repro.engine.pack import ChunkPlan, PackedGroup, pack_group, plan_chunks
 from repro.obs import current as obs_current
 from repro.sequence.database import Database
@@ -188,7 +187,7 @@ class StoreGroupRef:
 
     This is what the executor ships to pool workers instead of the
     packed lane matrices themselves: ~a hundred ``int64`` indices plus
-    two small fields, independent of sequence length.  The worker
+    the kernel name, independent of sequence length.  The worker
     rebuilds the identical :class:`~repro.engine.pack.PackedGroup` from
     its own memmapped store (:func:`~repro.engine.pack.pack_group` is
     deterministic, and the store fingerprint pins the content), which
@@ -197,18 +196,14 @@ class StoreGroupRef:
 
     indices: np.ndarray
     lane_engine: str = "gotoh"
-    strip_width: int | None = None
 
     @classmethod
     def of(cls, group: PackedGroup) -> "StoreGroupRef":
-        return cls(group.indices, group.lane_engine, group.strip_width)
+        return cls(group.indices, group.lane_engine)
 
     def materialize(self, store: "DatabaseStore") -> PackedGroup:
         return pack_group(
-            store.database,
-            self.indices,
-            lane_engine=self.lane_engine,
-            strip_width=self.strip_width,
+            store.database, self.indices, lane_engine=self.lane_engine
         )
 
 
@@ -248,12 +243,10 @@ class DatabaseStore:
         the residue blob is never touched)."""
         return self.database.lengths
 
-    def plan_for(
-        self, kind: str, *, budget: MemoryBudget | None = None
-    ) -> ChunkPlan:
+    def plan_for(self, kind: str) -> ChunkPlan:
         """The fixed-size chunking of the sorted index at the store's
         group size: :func:`~repro.engine.pack.plan_chunks` over the
-        sorted lengths (tail gap split, then ``budget`` splits).
+        sorted lengths.
 
         ``kind`` must be ``"row"``, the only plan a store reports.
         Searches do not read it; they plan per query with
@@ -261,9 +254,7 @@ class DatabaseStore:
         """
         if kind != "row":
             raise ValueError(f"plan kind must be 'row', got {kind!r}")
-        return plan_chunks(
-            self.lengths[self.sort_order], self.group_size, budget=budget
-        )
+        return plan_chunks(self.lengths[self.sort_order], self.group_size)
 
 
 # ----------------------------------------------------------------------

@@ -28,8 +28,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.alphabet import GapPenalty
-from repro.engine.budget import SWEEP_BYTES_PER_CELL, MemoryBudget
-from repro.engine.dbstore import DatabaseStore
+from repro.engine.budget import MemoryBudget
 from repro.engine.lanes import score_packed_group, score_packed_group_strips
 from repro.engine.pack import (
     DEFAULT_STRIP_WIDTH,
@@ -50,6 +49,7 @@ __all__ = [
     "STRIPED_COLUMN_OVERHEAD",
     "STRIP_CELL_COST",
     "STRIP_ROW_OVERHEAD",
+    "TUNER_MAX_CANDIDATES",
     "LaneKernel",
     "group_cost",
     "plan_groups",
@@ -84,6 +84,10 @@ STRIPED_COLUMN_OVERHEAD = 47_900.0
 STRIP_CELL_COST = 3.0  # per strip-swept cell, ceil(len / W) * W a lane
 STRIP_ROW_OVERHEAD = 51_100.0
 
+#: Most candidate splits :func:`tune_split_threshold` prices: the
+#: distinct lengths are thinned evenly to this many.
+TUNER_MAX_CANDIDATES = 64
+
 
 @dataclass(frozen=True)
 class LaneKernel:
@@ -100,32 +104,27 @@ class LaneKernel:
         ``score(profile, group, gaps)``: the group's ``int64`` lane
         scores, bit-identical to :func:`~repro.sw.scalar.sw_score_scalar`.
     cost:
-        ``cost(lengths, m, strip_width)``: the modeled time, in ns, of
-        sweeping one group with these member lengths against an
-        ``m``-residue query (only ``strips`` reads the strip width;
-        ``None`` is the default).
+        ``cost(lengths, m)``: the modeled time, in ns, of sweeping one
+        group with these member lengths against an ``m``-residue query.
     token:
-        The group's checkpoint fingerprint token.
+        The kernel's checkpoint fingerprint token; ``strips`` names its
+        strip width, so a journal written at another width is refused.
     """
 
     name: str
     profile: type[QueryProfile] | type[StripedProfile]
     score: Callable[[Any, PackedGroup, GapPenalty], np.ndarray]
-    cost: Callable[[np.ndarray, int, int | None], float]
-    token: Callable[[PackedGroup], str]
+    cost: Callable[[np.ndarray, int], float]
+    token: str
 
 
-def _row_cost(
-    lengths: np.ndarray, m: int, strip_width: int | None = None
-) -> float:
+def _row_cost(lengths: np.ndarray, m: int) -> float:
     """A row sweep runs ``m`` iterations over the padded rectangle."""
     cells = lengths.size * int(lengths.max())
     return m * (GOTOH_CELL_COST * cells + GOTOH_ROW_OVERHEAD)
 
 
-def _column_cost(
-    lengths: np.ndarray, m: int, strip_width: int | None = None
-) -> float:
+def _column_cost(lengths: np.ndarray, m: int) -> float:
     """A column sweep runs one iteration per database column, each
     over every lane's striped query (Snytsar's per-column cost)."""
     return int(lengths.max()) * (
@@ -133,18 +132,10 @@ def _column_cost(
     )
 
 
-def _strip_cost(
-    lengths: np.ndarray, m: int, strip_width: int | None = None
-) -> float:
+def _strip_cost(lengths: np.ndarray, m: int) -> float:
     """A strip sweep runs ``m`` iterations over the strip tiling."""
-    cells = strip_cells(lengths, strip_width)
+    cells = strip_cells(lengths)
     return m * (STRIP_CELL_COST * cells + STRIP_ROW_OVERHEAD)
-
-
-def _strips_token(group: PackedGroup) -> str:
-    """Strip groups fingerprint their width: a journal written at one
-    width must not resume at another."""
-    return f"strips:{group.strip_width or DEFAULT_STRIP_WIDTH}"
 
 
 #: The lane kernels by name.
@@ -152,16 +143,15 @@ LANE_KERNELS: dict[str, LaneKernel] = {
     kernel.name: kernel
     for kernel in (
         LaneKernel(
-            "gotoh", QueryProfile, score_packed_group,
-            _row_cost, lambda group: "gotoh",
+            "gotoh", QueryProfile, score_packed_group, _row_cost, "gotoh"
         ),
         LaneKernel(
             "striped", StripedProfile, score_packed_group_striped,
-            _column_cost, lambda group: "striped",
+            _column_cost, "striped",
         ),
         LaneKernel(
             "strips", QueryProfile, score_packed_group_strips,
-            _strip_cost, _strips_token,
+            _strip_cost, f"strips:{DEFAULT_STRIP_WIDTH}",
         ),
     )
 }
@@ -170,9 +160,7 @@ LANE_KERNELS: dict[str, LaneKernel] = {
 def group_cost(group: PackedGroup, m: int) -> float:
     """The modeled sweep time of one packed group under its kernel,
     against an ``m``-residue query."""
-    return LANE_KERNELS[group.lane_engine].cost(
-        group.lengths, m, group.strip_width
-    )
+    return LANE_KERNELS[group.lane_engine].cost(group.lengths, m)
 
 
 def _cheapest_bulk_kernel(lengths: np.ndarray, m: int) -> str:
@@ -181,28 +169,24 @@ def _cheapest_bulk_kernel(lengths: np.ndarray, m: int) -> str:
     at query length ``m`` (ties go to ``gotoh``)."""
     return min(
         ("gotoh", "striped"),
-        key=lambda name: LANE_KERNELS[name].cost(lengths, m, None),
+        key=lambda name: LANE_KERNELS[name].cost(lengths, m),
     )
 
 
 def _downsample(values: np.ndarray, limit: int) -> np.ndarray:
     """Evenly thin a sorted array to at most ``limit`` entries, always
-    keeping the first and last."""
+    keeping the first and last.  Past ``limit`` entries the ``linspace``
+    indices step by more than one, so no index repeats."""
     if values.size <= limit:
         return values
-    idx = np.unique(
-        np.linspace(0, values.size - 1, num=limit).astype(np.int64)
-    )
-    return values[idx]
+    return values[np.linspace(0, values.size - 1, num=limit).astype(np.int64)]
 
 
 def tune_split_threshold(
-    lengths: np.ndarray | DatabaseStore,
+    lengths: np.ndarray,
     *,
     group_size: int,
     query_length: int | None = None,
-    strip_width: int = DEFAULT_STRIP_WIDTH,
-    max_candidates: int = 64,
 ) -> int:
     """Pick the length past which sequences go to strips groups.
 
@@ -211,15 +195,14 @@ def tune_split_threshold(
     cheapest (the larger threshold on ties).  The candidates are 0 (all
     strips) and the distinct sequence lengths — every distinct
     partition, nothing between two identical ones — thinned to
-    ``max_candidates``.  Pure geometry: no packing, no scoring.
+    :data:`TUNER_MAX_CANDIDATES`.  Pure geometry: no packing, no
+    scoring; a store's in-memory index lengths
+    (:attr:`~repro.engine.dbstore.DatabaseStore.lengths`) serve as
+    well as a database's.
 
     ``query_length`` defaults to the median database length, a query
-    drawn from the database itself.  ``lengths`` may be an opened
-    :class:`~repro.engine.dbstore.DatabaseStore`, whose in-memory
-    index lengths are read — never the residue blob.
+    drawn from the database itself.
     """
-    if isinstance(lengths, DatabaseStore):
-        lengths = lengths.lengths
     sorted_lengths = np.sort(np.asarray(lengths, dtype=np.int64))
     if sorted_lengths.size == 0:
         return 0
@@ -230,13 +213,14 @@ def tune_split_threshold(
             sorted_lengths, m, group_size, threshold
         )
         return sum(
-            LANE_KERNELS[kernel].cost(
-                sorted_lengths[start:end], m, strip_width
-            )
+            LANE_KERNELS[kernel].cost(sorted_lengths[start:end], m)
             for (start, end), kernel in zip(plan.ranges, kernels)
         )
 
-    distinct = _downsample(np.unique(sorted_lengths), max_candidates)
+    # The distinct lengths, read off the sorted (non-negative) array:
+    # np.unique's plain form imports numpy.ma inside a traced search.
+    distinct = sorted_lengths[np.diff(sorted_lengths, prepend=-1) > 0]
+    distinct = _downsample(distinct, TUNER_MAX_CANDIDATES)
     return min([0, *map(int, distinct)], key=lambda t: (cost(t), -t))
 
 
@@ -247,7 +231,7 @@ def plan_groups(
     threshold: int | None,
     *,
     budget: MemoryBudget | None = None,
-    cell_bytes: int = SWEEP_BYTES_PER_CELL,
+    cell_bytes: int | None = None,
 ) -> tuple[ChunkPlan, list[str]]:
     """Group ranges over the length-sorted database, and each one's kernel.
 

@@ -317,7 +317,9 @@ def sweep_bytes_per_cell(
     max_abs = _max_abs(profile)
     dtype = np.dtype(_working_dtype(profile.length, w, max_abs, gaps))
     tile = np.dtype(_tile_dtype(max_abs, dtype.type))
-    symbols = np.unique(profile.query_codes).size
+    # Distinct query symbols, without np.unique's plain form (which
+    # imports numpy.ma on first use).
+    symbols = int(np.count_nonzero(np.bincount(profile.query_codes)))
     return (
         _SWEEP_BUFFERS * dtype.itemsize
         + symbols * tile.itemsize
@@ -616,20 +618,17 @@ def score_packed_group_strips(
     group: PackedGroup,
     gaps: GapPenalty,
     *,
-    strip_width: int | None = None,
+    strip_width: int = DEFAULT_STRIP_WIDTH,
 ) -> np.ndarray:
     """Optimal local-alignment score of the query against every subject.
 
-    The sweep at ``strip_width`` (default: the group's, else
-    :data:`~repro.engine.pack.DEFAULT_STRIP_WIDTH`).  Returns an
-    ``int64`` array of ``group.size`` scores in lane order,
-    bit-identical to :func:`score_packed_group`.
+    The sweep at ``strip_width`` columns a strip, the strips kernel's
+    :data:`~repro.engine.pack.DEFAULT_STRIP_WIDTH` unless a caller
+    narrows it (tests do, to reach the cross-strip carry with short
+    subjects).  Returns an ``int64`` array of ``group.size`` scores in
+    lane order, bit-identical to :func:`score_packed_group`.
     """
-    w = int(
-        strip_width
-        if strip_width is not None
-        else (group.strip_width or DEFAULT_STRIP_WIDTH)
-    )
+    w = int(strip_width)
     if w <= 0:
         raise ValueError(f"strip width must be positive, got {w}")
     return _sweep(profile, group, gaps, w, count_strips_work)

@@ -14,18 +14,10 @@ padded rectangle) is exactly the ``sum(len) / (s * max_len)`` quantity
 of :class:`~repro.sequence.database.SequenceGroup`.  Length sorting
 before grouping is what keeps it near 1.0.
 
-Two things the length sort alone cannot fix live here too:
-
-* the **tail group** — the final ``group_size`` remainder merges
-  whatever lengths are left, so a handful of outliers can drag one
-  group far below every other's efficiency.  :func:`plan_chunks` splits
-  that last chunk at its largest length gaps whenever efficiency would
-  fall under :data:`TAIL_EFFICIENCY_FLOOR`;
-* the **long tail itself** — past a length threshold no grouping packs
-  well, which is why :func:`plan_split` cuts those sequences into
-  groups of their own for the strip-sweep kernel (each
-  :class:`PackedGroup` carries its ``lane_engine``, making the kernel a
-  per-group decision).
+Past a length threshold no grouping packs well, which is why
+:func:`plan_split` cuts the long tail into groups of its own for the
+strip-sweep kernel (each :class:`PackedGroup` carries its
+``lane_engine``, making the kernel a per-group decision).
 """
 
 from __future__ import annotations
@@ -35,13 +27,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.engine.budget import SWEEP_BYTES_PER_CELL, MemoryBudget
+from repro.engine.budget import MemoryBudget
 from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.database import Database
 
 __all__ = [
     "DEFAULT_STRIP_WIDTH",
-    "TAIL_EFFICIENCY_FLOOR",
     "ChunkPlan",
     "PackedGroup",
     "pack_group",
@@ -54,15 +45,11 @@ __all__ = [
     "strip_counts",
 ]
 
-#: Default strip width for groups swept by the strip engine (DP columns
-#: per strip lane).  Lives here rather than in
+#: The strip engine's strip width (DP columns per strip lane), the
+#: paper's 512-row strips.  Lives here rather than in
 #: :mod:`~repro.engine.lanes` so packing and cost modelling can reason
 #: about strip geometry without importing the kernel.
 DEFAULT_STRIP_WIDTH = 512
-
-#: Below this packing efficiency the tail chunk is split at its largest
-#: length gaps instead of being packed as one degenerate rectangle.
-TAIL_EFFICIENCY_FLOOR = 0.5
 
 
 def strip_counts(lengths: np.ndarray, w: int) -> np.ndarray:
@@ -72,11 +59,11 @@ def strip_counts(lengths: np.ndarray, w: int) -> np.ndarray:
     return np.maximum((lengths + w - 1) // w, 1)
 
 
-def strip_cells(lengths: np.ndarray, strip_width: int | None) -> int:
+def strip_cells(lengths: np.ndarray) -> int:
     """Cells the strip engine sweeps per query row for these lengths:
-    ``ceil(len / W) * W`` each (at least one strip), ``W`` defaulting to
-    :data:`DEFAULT_STRIP_WIDTH`."""
-    w = strip_width or DEFAULT_STRIP_WIDTH
+    ``ceil(len / W) * W`` each (at least one strip) at
+    ``W =`` :data:`DEFAULT_STRIP_WIDTH`."""
+    w = DEFAULT_STRIP_WIDTH
     return int(strip_counts(lengths, w).sum()) * w
 
 
@@ -105,9 +92,6 @@ class PackedGroup:
         :data:`~repro.engine.kernels.LANE_KERNELS`), stamped at pack
         time.  This is what makes the kernel a per-group decision for
         heterogeneous dispatch.
-    strip_width:
-        Strip width for groups assigned to the ``"strips"`` engine
-        (``None`` = :data:`DEFAULT_STRIP_WIDTH`); ignored elsewhere.
     """
 
     indices: np.ndarray
@@ -115,7 +99,6 @@ class PackedGroup:
     codes: np.ndarray
     pad_code: int
     lane_engine: str = "gotoh"
-    strip_width: int | None = None
 
     def __post_init__(self) -> None:
         if self.codes.ndim != 2:
@@ -168,7 +151,7 @@ class PackedGroup:
         matter how ragged the group is.
         """
         if self.lane_engine == "strips":
-            return strip_cells(self.lengths, self.strip_width)
+            return strip_cells(self.lengths)
         return self.padded_cells
 
     @property
@@ -182,15 +165,13 @@ def pack_group(
     indices: np.ndarray,
     *,
     lane_engine: str = "gotoh",
-    strip_width: int | None = None,
 ) -> PackedGroup:
     """Pack the database sequences at ``indices`` into one lane matrix.
 
     ``indices`` refer to ``db``'s own ordering and are recorded verbatim
     in the result, so callers can pack a sorted permutation of an
     unsorted database and still scatter scores back trivially.
-    ``lane_engine``/``strip_width`` stamp the lane kernel that will
-    sweep the group.
+    ``lane_engine`` stamps the lane kernel that will sweep the group.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1 or indices.size == 0:
@@ -204,9 +185,7 @@ def pack_group(
         row = db.codes_of(int(src))
         codes[lane, : row.size] = row
     codes.setflags(write=False)
-    return PackedGroup(
-        indices, lengths, codes, pad_code, lane_engine, strip_width
-    )
+    return PackedGroup(indices, lengths, codes, pad_code, lane_engine)
 
 
 class ChunkPlan(NamedTuple):
@@ -214,34 +193,13 @@ class ChunkPlan(NamedTuple):
 
     ``ranges`` are ``(start, end)`` slices into the sorted order;
     the split counters record why extra groups exist so callers can
-    charge the matching ``engine.pack.*`` / ``engine.budget.*``
-    counters without re-deriving the decisions.
+    charge the matching ``engine.budget.*`` counters without
+    re-deriving the decisions.
     """
 
     ranges: list[tuple[int, int]]
-    tail_splits: int
     budget_splits: int
     budget_extra_groups: int
-
-
-def _gap_split(
-    lengths: np.ndarray, start: int, end: int, floor: float
-) -> list[tuple[int, int]]:
-    """Split ``[start, end)`` at its largest length gaps until every
-    piece packs at ``floor`` efficiency or better (or is a single lane).
-    ``lengths`` must be ascending over the range."""
-    size = end - start
-    if size < 2:
-        return [(start, end)]
-    seg = lengths[start:end]
-    if float(seg.sum()) / (size * int(seg[-1])) >= floor:
-        return [(start, end)]
-    cut = int(np.argmax(np.diff(seg))) + 1
-    if cut <= 0 or cut >= size:
-        return [(start, end)]
-    return _gap_split(lengths, start, start + cut, floor) + _gap_split(
-        lengths, start + cut, end, floor
-    )
 
 
 def plan_chunks(
@@ -249,20 +207,16 @@ def plan_chunks(
     group_size: int,
     *,
     budget: MemoryBudget | None = None,
-    cell_bytes: int = SWEEP_BYTES_PER_CELL,
-    tail_floor: float = TAIL_EFFICIENCY_FLOOR,
+    cell_bytes: int | None = None,
 ) -> ChunkPlan:
     """Plan packing ranges for an ascending-sorted length array.
 
-    Applies, in order: fixed ``group_size`` chunking; the tail-group
-    degeneracy fix (the last chunk — the ``group_size`` remainder that
-    used to merge wildly different lengths into one low-efficiency
-    rectangle — is split at its largest length gaps whenever its
-    efficiency falls below ``tail_floor``); then the ``budget``'s
-    working-set splitting within each chunk, at ``cell_bytes`` a swept
-    cell.  Geometry only — no
-    database access — so the threshold cost model can evaluate candidate
-    partitions without packing anything.
+    Fixed ``group_size`` chunking, then the ``budget``'s working-set
+    splitting within each chunk at ``cell_bytes`` a swept cell (the
+    search's :func:`~repro.engine.lanes.sweep_bytes_per_cell`, read
+    only when a budget is set).  Geometry only — no database access —
+    so the threshold cost model can evaluate candidate partitions
+    without packing anything.
     """
     if group_size <= 0:
         raise ValueError(f"group size must be positive, got {group_size}")
@@ -272,14 +226,10 @@ def plan_chunks(
         (start, min(start + group_size, n))
         for start in range(0, n, group_size)
     ]
-    tail_splits = 0
-    if ranges and tail_floor > 0:
-        last = ranges.pop()
-        pieces = _gap_split(sorted_lengths, last[0], last[1], tail_floor)
-        tail_splits = len(pieces) - 1
-        ranges.extend(pieces)
     if budget is None:
-        return ChunkPlan(ranges, tail_splits, 0, 0)
+        return ChunkPlan(ranges, 0, 0)
+    if cell_bytes is None:
+        raise ValueError("a budget split needs the bytes per swept cell")
     budget_splits = budget_extra = 0
     split_ranges: list[tuple[int, int]] = []
     for start, end in ranges:
@@ -293,7 +243,7 @@ def plan_chunks(
         for cut in ends:
             split_ranges.append((start + prev, start + cut))
             prev = cut
-    return ChunkPlan(split_ranges, tail_splits, budget_splits, budget_extra)
+    return ChunkPlan(split_ranges, budget_splits, budget_extra)
 
 
 def _record_pack_counters(
@@ -315,9 +265,6 @@ def _record_pack_counters(
     instr.count("engine.pack.residues", residues)
     instr.count("engine.pack.padded_cells", swept)
     instr.count("engine.pack.pad_waste_cells", swept - residues)
-    if plan.tail_splits:
-        instr.count("engine.pack.tail_splits", 1)
-        instr.count("engine.pack.tail_extra_groups", plan.tail_splits)
     if plan.budget_splits:
         instr.count("engine.budget.groups_split", plan.budget_splits)
         instr.count("engine.budget.extra_groups", plan.budget_extra_groups)
@@ -332,17 +279,17 @@ def plan_split(
     threshold: int | None,
     *,
     budget: MemoryBudget | None = None,
-    cell_bytes: int = SWEEP_BYTES_PER_CELL,
+    cell_bytes: int | None = None,
 ) -> tuple[ChunkPlan, int]:
     """Plan the length split over an ascending-sorted length array.
 
     Sequences at or under ``threshold`` (the bulk) and the longer ones
-    (the tail) are each cut into ``group_size`` chunks, then
-    ``budget``-split at ``cell_bytes`` a cell; no gap split, since the
-    tail itself holds the degenerate lengths.  ``threshold <= 0`` makes everything tail,
-    ``None`` or ``threshold >= max length`` everything bulk.  Returns
-    the plan, in sorted-order ranges, and the bulk count: ranges from
-    it on are tail.
+    (the tail) are each cut into ``group_size`` chunks by
+    :func:`plan_chunks`, ``budget``-split at ``cell_bytes`` a cell.
+    ``threshold <= 0`` makes everything tail, ``None`` or
+    ``threshold >= max length`` everything bulk.  Returns the plan, in
+    sorted-order ranges, and the bulk count: ranges from it on are
+    tail.
     """
     n_bulk = (
         sorted_lengths.size
@@ -350,15 +297,11 @@ def plan_split(
         else int(np.searchsorted(sorted_lengths, threshold, side="right"))
     )
     bulk, tail = (
-        plan_chunks(
-            part, group_size,
-            budget=budget, cell_bytes=cell_bytes, tail_floor=0.0,
-        )
+        plan_chunks(part, group_size, budget=budget, cell_bytes=cell_bytes)
         for part in (sorted_lengths[:n_bulk], sorted_lengths[n_bulk:])
     )
     plan = ChunkPlan(
         bulk.ranges + [(s + n_bulk, e + n_bulk) for s, e in tail.ranges],
-        0,
         bulk.budget_splits + tail.budget_splits,
         bulk.budget_extra_groups + tail.budget_extra_groups,
     )
@@ -370,17 +313,12 @@ def pack_plan(
     order: np.ndarray,
     plan: ChunkPlan,
     kernels: list[str],
-    *,
-    strip_width: int | None = None,
 ) -> list[PackedGroup]:
     """Pack each planned range of the sorted ``order`` as one group,
-    stamped with its kernel (``strip_width`` goes on strips groups), and
-    charge the ``engine.pack.*`` counters."""
+    stamped with its kernel, and charge the ``engine.pack.*``
+    counters."""
     groups = [
-        pack_group(
-            db, order[start:end], lane_engine=kernel,
-            strip_width=strip_width if kernel == "strips" else None,
-        )
+        pack_group(db, order[start:end], lane_engine=kernel)
         for (start, end), kernel in zip(plan.ranges, kernels)
     ]
     instr = obs_current()
@@ -389,37 +327,25 @@ def pack_plan(
     return groups
 
 
-def pack_database(
-    db: Database,
-    group_size: int,
-    *,
-    budget: MemoryBudget | None = None,
-) -> list[PackedGroup]:
+def pack_database(db: Database, group_size: int) -> list[PackedGroup]:
     """Sort ``db`` by length and pack it into ``gotoh`` groups of
-    ``group_size``, the tail gap-split below :data:`TAIL_EFFICIENCY_FLOOR`
-    and oversized chunks split to fit the ``budget`` (see
-    :func:`plan_chunks`).
+    ``group_size`` (see :func:`plan_chunks`).
 
     Mirrors CUDASW++'s preprocessing pipeline
     (:meth:`Database.sorted_by_length` then
     :meth:`Database.partition_groups`): a stable ascending length sort
     keeps each group's lengths nearly uniform, so the padded rectangles
     stay tight.  Group ``indices`` refer to the *original* (unsorted)
-    database order.  Splitting only changes geometry, never scores.
+    database order.
     """
     db._require_residues()
     order = np.argsort(db.lengths, kind="stable")
-    plan = plan_chunks(db.lengths[order], group_size, budget=budget)
+    plan = plan_chunks(db.lengths[order], group_size)
     return pack_plan(db, order, plan, ["gotoh"] * len(plan.ranges))
 
 
 def pack_database_hetero(
-    db: Database,
-    group_size: int,
-    threshold: int,
-    *,
-    budget: MemoryBudget | None = None,
-    strip_width: int | None = None,
+    db: Database, group_size: int, threshold: int
 ) -> list[PackedGroup]:
     """The length split of :func:`plan_split` with every bulk group
     ``striped`` and every tail group ``strips``.  The search engine
@@ -428,10 +354,8 @@ def pack_database_hetero(
     """
     db._require_residues()
     order = np.argsort(db.lengths, kind="stable")
-    plan, n_bulk = plan_split(
-        db.lengths[order], group_size, threshold, budget=budget
-    )
+    plan, n_bulk = plan_split(db.lengths[order], group_size, threshold)
     kernels = [
         "striped" if start < n_bulk else "strips" for start, _ in plan.ranges
     ]
-    return pack_plan(db, order, plan, kernels, strip_width=strip_width)
+    return pack_plan(db, order, plan, kernels)

@@ -18,7 +18,6 @@ Pieces:
 * :mod:`~repro.lint.runner` — file discovery, AST dispatch, cross-file
   ``finish`` hooks and inline ``# repro-lint: disable=...``
   suppressions;
-* :mod:`~repro.lint.baseline` — the committed-findings ratchet;
 * :mod:`~repro.lint.cli` — the ``repro-lint`` command (text / JSON /
   GitHub-annotation output).
 
@@ -27,13 +26,11 @@ The package is stdlib-only on purpose: it must import (and run in CI)
 without NumPy/SciPy present.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import FileContext, Rule, all_rules, get_rule, rule_ids
 from repro.lint.runner import LintResult, LintRunner
 
 __all__ = [
-    "Baseline",
     "Finding",
     "Severity",
     "FileContext",

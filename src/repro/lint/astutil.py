@@ -58,9 +58,8 @@ def iter_functions(
 def qualname_index(tree: ast.AST) -> dict[int, str]:
     """``id(def-node) -> dotted qualname`` for every class/function.
 
-    Nested scopes join with ``.`` (``Outer.method.closure``), which is
-    what the baseline fingerprints use to name a finding's enclosing
-    definition stably across line moves.
+    Nested scopes join with ``.`` (``Outer.method.closure``): the
+    enclosing-definition name a finding reports.
     """
     out: dict[int, str] = {}
 

@@ -5,13 +5,12 @@ Usage::
     repro-lint src/                       # lint a tree (text output)
     repro-lint --format json src/         # machine-readable report
     repro-lint --format github src/       # GitHub Actions annotations
-    repro-lint --update-baseline src/     # absorb current findings
     repro-lint --list-rules
 
-Exit codes: 0 — no new findings; 1 — new findings (or a rule error);
-2 — usage/configuration error.  Findings recorded in the committed
-baseline (``lint-baseline.json`` by default, when it exists) do not
-fail the run; everything new does.
+Exit codes: 0 — no findings; 1 — findings (or a rule error); 2 —
+usage/configuration error.  Every finding fails the run: silence an
+intentional one at its site with a ``# repro-lint: disable=...``
+comment.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import sys
 from pathlib import Path
 from typing import IO, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding
 from repro.lint.rules import all_rules
 from repro.lint.runner import LintResult, LintRunner
@@ -30,10 +28,10 @@ from repro.lint.runner import LintResult, LintRunner
 __all__ = ["main", "build_parser"]
 
 #: JSON report identity, mirrored by the run-report convention.
+#: Version 2 dropped the baseline's ``baselined`` count and finding
+#: ``fingerprint``.
 REPORT_SCHEMA = "repro.lint_report"
-REPORT_VERSION = 1
-
-DEFAULT_BASELINE = "lint-baseline.json"
+REPORT_VERSION = 2
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -69,22 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: current directory)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} under the "
-        f"root, when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file: report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         help="comma-separated rule ids/names to run (default: all)",
@@ -115,19 +97,17 @@ def _list_rules(out: IO[str]) -> int:
     return EXIT_CLEAN
 
 
-def _report_dict(
-    result: LintResult, new: list[Finding], baselined: int
-) -> dict:
+def _report_dict(result: LintResult) -> dict:
+    findings = result.findings
     return {
         "schema": REPORT_SCHEMA,
         "version": REPORT_VERSION,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": baselined,
-        "findings": [f.to_dict() for f in new],
+        "findings": [f.to_dict() for f in findings],
         "summary": {
-            "total": len(new),
-            "by_rule": _by_rule(new),
+            "total": len(findings),
+            "by_rule": _by_rule(findings),
         },
     }
 
@@ -178,28 +158,8 @@ def main(
         err.write(f"repro-lint: {exc}\n")
         return EXIT_USAGE
 
-    baseline_path = Path(args.baseline) if args.baseline else (
-        root / DEFAULT_BASELINE
-    )
-    if args.update_baseline:
-        Baseline().write(baseline_path, result.findings)
-        out.write(
-            f"wrote {len(result.findings)} finding(s) to "
-            f"{baseline_path}\n"
-        )
-        return EXIT_CLEAN
-
-    if args.no_baseline:
-        new, baselined = list(result.findings), 0
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            err.write(f"repro-lint: bad baseline: {exc}\n")
-            return EXIT_USAGE
-        new, baselined = baseline.filter(result.findings)
-
-    report = _report_dict(result, new, baselined)
+    findings = result.findings
+    report = _report_dict(result)
     if args.output:
         Path(args.output).write_text(
             json.dumps(report, indent=2) + "\n", encoding="utf-8"
@@ -208,25 +168,20 @@ def main(
     if args.format == "json":
         out.write(json.dumps(report, indent=2) + "\n")
     elif args.format == "github":
-        for f in new:
+        for f in findings:
             out.write(f.render_github() + "\n")
     else:
-        for f in new:
+        for f in findings:
             out.write(f.render_text() + "\n")
         tail = (
             f"{result.files_checked} file(s) checked: "
-            f"{len(new)} finding(s)"
+            f"{len(findings)} finding(s)"
         )
-        extras = []
         if result.suppressed:
-            extras.append(f"{result.suppressed} suppressed inline")
-        if baselined:
-            extras.append(f"{baselined} baselined")
-        if extras:
-            tail += f" ({', '.join(extras)})"
+            tail += f" ({result.suppressed} suppressed inline)"
         out.write(tail + "\n")
 
-    return EXIT_FINDINGS if new else EXIT_CLEAN
+    return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
 if __name__ == "__main__":  # pragma: no cover

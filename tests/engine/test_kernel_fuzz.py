@@ -15,11 +15,13 @@ compare against :func:`~repro.sw.scalar.sw_score_scalar`:
   buffer lengths around powers of two, and queries of one symbol or of
   every symbol (one similarity tile, or one per alphabet symbol);
 * the packed engine end to end, from a database or a ``.rdb`` store,
-  at the split and kernels its own planner picks.
+  at the split and kernels its own planner picks, with subjects either
+  side of one and two strip widths in strips groups.
 """
 
 import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ from repro.engine import (
 )
 from repro.engine.kernels import plan_groups
 from repro.engine.lanes import _takes_doubling, _tile_dtype, _working_dtype
-from repro.engine.pack import pack_group
+from repro.engine.pack import DEFAULT_STRIP_WIDTH, pack_group, strip_counts
 from repro.sequence import Database, Sequence, StripedProfile
 from repro.sw import sw_score_scalar
 
@@ -207,19 +209,23 @@ class TestForcedKernelsAgainstScalar:
         max_abs = max(int(np.abs(matrix.scores[:, query.codes]).max()), 1)
         for name, kernel in LANE_KERNELS.items():
             profile = kernel.profile(query.codes, matrix)
+            # The strips kernel sweeps at the drawn width, so short
+            # subjects reach its cross-strip carry.
+            score = (
+                partial(kernel.score, strip_width=w)
+                if name == "strips"
+                else kernel.score
+            )
             scores = np.full(len(db), -1, dtype=np.int64)
             for group in planned:
-                forced = replace(
-                    group, lane_engine=name,
-                    strip_width=w if name == "strips" else None,
-                )
-                scores[group.indices] = kernel.score(profile, forced, gaps)
+                forced = replace(group, lane_engine=name)
+                scores[group.indices] = score(profile, forced, gaps)
                 if name == "gotoh":
                     _sweep_events(name, _working_dtype(
                         len(query), group.max_length, max_abs, gaps
                     ), group.size, max_abs)
                 elif name == "strips":
-                    strips = forced.sweep_cells // w
+                    strips = int(strip_counts(group.lengths, w).sum())
                     _sweep_events(
                         name, _working_dtype(len(query), w, max_abs, gaps),
                         strips, max_abs,
@@ -227,6 +233,12 @@ class TestForcedKernelsAgainstScalar:
                     branch = "one-strip" if strips == group.size else "carry"
                     event(f"strips {branch} branch")
             assert scores.tolist() == expected, name
+
+
+#: Subject lengths either side of one and two strip widths.
+AROUND_STRIP_WIDTH = [
+    k * DEFAULT_STRIP_WIDTH + d for k in (1, 2) for d in (-1, 0, 1)
+]
 
 
 @st.composite
@@ -247,20 +259,29 @@ def packed_searches(draw):
         min_size=1, max_size=12,
     ))
     longest = max(lengths)
+    # Subjects around the strip width, with the split pinned below them
+    # so the planner sends them to strips groups: one strip each up to
+    # the width, the cross-strip carry past it.  Their query stays short
+    # to keep the scalar reference fast.
+    around_strip = draw(st.one_of(
+        st.just([]),
+        st.lists(st.sampled_from(AROUND_STRIP_WIDTH), min_size=1, max_size=2),
+    ))
     # A query much longer than the subjects makes the planner pick
     # striped bulk groups, a short one gotoh.
-    m = draw(st.integers(1, 4 * longest))
+    m = draw(st.integers(1, 48 if around_strip else 4 * longest))
     matrix = draw(st.one_of(
         st.just(BLOSUM62),
         st.integers(1, 2**12).map(lambda k: _matrix(rng, k, True)),
     ))
-    threshold = draw(st.one_of(
-        st.just("auto"), st.just(0), st.sampled_from(lengths),
-        st.just(longest + 1),
-    ))
+    splits = [st.just(0), st.sampled_from(lengths), st.just(longest + 1)]
+    if not around_strip:
+        splits.append(st.just("auto"))
+    threshold = draw(st.one_of(*splits))
     query = draw(queries(rng, m))
     db = Database.from_sequences(
-        [Sequence.random(f"d{i}", n, rng) for i, n in enumerate(lengths)]
+        [Sequence.random(f"d{i}", n, rng)
+         for i, n in enumerate(lengths + around_strip)]
     )
     return query, db, matrix, draw(gap_penalties()), group_size, threshold
 
@@ -286,3 +307,12 @@ class TestPackedEngineAgainstScalar:
         assert scores.tolist() == expected
         event("kernels: " + "+".join(sorted(set(report.lane_engines))))
         event("from a store" if from_store else "from a database")
+        for kernel, width in zip(
+            report.lane_engines, report.group_max_lengths
+        ):
+            if kernel == "strips" and width >= DEFAULT_STRIP_WIDTH - 1:
+                carry = width > DEFAULT_STRIP_WIDTH
+                event(
+                    f"strips {'carry' if carry else 'one-strip'} group "
+                    "around the strip width"
+                )

@@ -182,10 +182,9 @@ class TestDepthCappedSweepsAgainstScalar:
         with obs.collect("counters") as instr, _depth_probe() as depths:
             strips = score_packed_group_strips(
                 profile,
-                pack_group(
-                    db, members, lane_engine="strips", strip_width=width
-                ),
+                pack_group(db, members, lane_engine="strips"),
                 gaps,
+                strip_width=width,
             )
         _depth_event(
             "strips", depths, instr.counters.as_dict(), "engine.strips.",

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from repro.alphabet import BLOSUM62, GapPenalty, build_blosum
-from repro.engine import BatchedEngine, SearchConfig, pack_database, run_groups
+from repro.engine import (
+    BatchedEngine,
+    SearchConfig,
+    pack_database,
+    pack_group,
+    run_groups,
+)
 from repro.sequence import Database, QueryProfile, Sequence, random_protein
 from repro.sw import sw_score_scalar
 
@@ -118,8 +124,8 @@ class TestEdgeShapes:
     def test_maximally_ragged_group(self):
         """One long lane among length-1 lanes: padding must never leak
         into any lane's score, whether the lanes share one 15%-efficient
-        rectangle or the packer's tail-degeneracy gap split cleaves the
-        1-vs-120 gap into two dense groups."""
+        rectangle or a cut at the 1-vs-120 gap packs them as two dense
+        groups."""
         rng = np.random.default_rng(5)
         db = Database.from_sequences(
             [Sequence.random("long", 120, rng)]
@@ -134,9 +140,13 @@ class TestEdgeShapes:
         # The engine keeps one rectangle: a second group's per-row cost
         # outweighs sweeping the padding.
         assert report.group_sizes == (7,)
-        groups = pack_database(db, 7)
-        assert [g.size for g in groups] == [6, 1]
-        assert [g.padding_efficiency for g in groups] == [1.0, 1.0]
+        (whole,) = pack_database(db, 7)
+        assert whole.padding_efficiency == 126 / 840
+        order = np.argsort(db.lengths, kind="stable")
+        dense = [pack_group(db, order[:6]), pack_group(db, order[6:])]
+        assert [g.size for g in dense] == [6, 1]
+        assert [g.padding_efficiency for g in dense] == [1.0, 1.0]
+        groups = [whole, *dense]
         profile = QueryProfile(q.codes, BLOSUM62)
         for group, lane_scores in zip(
             groups, run_groups(profile, groups, gaps)

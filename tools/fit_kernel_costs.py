@@ -56,7 +56,7 @@ def timings(query_lengths):
         for db in dbs:
             order = np.argsort(db.lengths, kind="stable")
             n = order.size
-            ranges = plan_chunks(db.lengths[order], 128, tail_floor=0.0).ranges
+            ranges = plan_chunks(db.lengths[order], 128).ranges
             ranges += [(n - k, n) for k in (1, 4, 12, 32)]
             for start, end in ranges:
                 group_times = {}
@@ -69,7 +69,7 @@ def timings(query_lengths):
                         kernel.score(profile, group, GAPS)
                         best = min(best, time.perf_counter() - began)
                     shape = (m, group.size, group.max_length,
-                             strip_cells(group.lengths, None))
+                             strip_cells(group.lengths))
                     group_times[name] = (features(name, *shape), best * 1e9)
                 yield group_times
         print(f"# timed m={m}", file=sys.stderr)
