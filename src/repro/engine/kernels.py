@@ -77,6 +77,16 @@ __all__ = [
 # plus 32,200 ns a row, strips 1.78 plus 54,500 (median relative error
 # 22% and 16%), striped 5.53 plus 52,300.  They are not refit, so every
 # plan and tuned split stays as it was.
+#
+# With the int8 rung in place (``lanes._sweep``: rows swept one byte a
+# cell until a group's scores near 127), the same fit on the same host
+# gave gotoh 0.90 ns a cell plus 25,300 ns a row, strips 0.69 plus
+# 41,600 (median relative error 26% and 23%), and striped 3.64 plus
+# 37,000 (22%); picking by those would sweep in 1.16x the per-group
+# optimum.  Striped's code did not change, so the host ran that fit
+# faster throughout, but against it the row kernels fell from 0.41 and
+# 0.32 of striped's per-cell cost to 0.25 and 0.19: the constants above
+# overprice them further still.  Still not refit.
 GOTOH_CELL_COST = 3.5  # per cell of the padded lanes x max_len rectangle
 GOTOH_ROW_OVERHEAD = 28_000.0
 STRIPED_CELL_COST = 5.6  # per cell of the lanes x m striped query block

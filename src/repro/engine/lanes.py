@@ -28,7 +28,7 @@ the E candidate's ``j - 1``) is then one contiguous block of memory.
 The similarities come from a *score profile*, SWAPHI's companion to
 the inter-sequence layout: once per group, one contiguous ``(W,
 strips)`` tile per distinct query symbol holds that symbol's
-similarity to every tiled residue, so each query row copies its
+similarity to every tiled residue, so each query row reads its
 symbol's tile instead of gathering through an index (the query-profile
 lookup CUDASW++ makes from texture memory).  The tiles are int8
 whenever every similarity fits, and in the working dtype otherwise.
@@ -62,6 +62,18 @@ the scan stops doubling once its window covers them (the exactness
 argument is in :func:`_sweep`).  Unrelated subjects score far below the
 gap cost of their lengths, so on a database search most rows take a
 few of the full ``ceil(log2 W)`` steps.
+
+The working dtype comes from a static ladder (int16, int32, int64)
+sized for the worst score a group could reach, but a protein search's
+scores sit far below it.  So a group whose rows are wide enough to
+amortize the extra calls (:data:`_INT8_MIN_ROW_CELLS`) starts one rung
+lower, in int8, as SSW scores in 8-bit lanes first: one byte a cell,
+the int8 tiles added straight onto the diagonal, and, since the ramp
+``j * sigma`` does not fit int8, a scan that decays as it doubles
+instead.  The running bound that caps the scan's depth also says when
+the next rows could pass 127; the group then promotes in place, once,
+to its ladder rung and finishes there (the range proof is in
+:func:`_sweep`).
 
 When a subject spans several strips, H and E flow across its strip
 boundaries within a DP row, and both dependencies close in scan form:
@@ -184,6 +196,91 @@ def _prefix_max(g: np.ndarray, spare: np.ndarray, reach: int) -> np.ndarray:
     return src
 
 
+def _decaying_max(
+    htmp: np.ndarray, g: np.ndarray, spare: np.ndarray, reach: int,
+    sigma: int,
+) -> np.ndarray:
+    """The int8 rung's ramp-free doubling scan of ``htmp`` down axis 0,
+    lane by lane, as deep as ``reach`` rows.
+
+    Step ``k`` folds each row ``j >= k`` with row ``j - k`` decayed by
+    ``k * sigma``, so once the window ``2**steps`` covers ``reach``
+    (:func:`_doubling_steps`) row ``j`` of the result is the maximum of
+    ``htmp[j - d] - d * sigma`` over ``d < 2**steps``: the scan the
+    wider rungs take of ``htmp + j * sigma``, less the ramp.  ``htmp``
+    is only read: the first step writes the scan into ``g``, and later
+    ones fold ``g`` in place through the decayed copy in ``spare``, two
+    calls a step.  Returns the buffer holding the scan, ``htmp`` itself
+    when no step runs.
+    """
+    steps = _doubling_steps(reach, htmp.shape[0])
+    if not steps:
+        return htmp
+    np.subtract(htmp[:-1], sigma, out=spare[1:])
+    np.maximum(htmp[1:], spare[1:], out=g[1:])
+    np.copyto(g[:1], htmp[:1])
+    for step in range(1, steps):
+        k = 1 << step
+        np.subtract(g[:-k], k * sigma, out=spare[k:])
+        np.maximum(g[k:], spare[k:], out=g[k:])
+    return g
+
+
+#: The int8 rung's largest value; every int8 intermediate of a sweep
+#: stays within ``[-_INT8_MAX, _INT8_MAX]`` (see :func:`_sweep`).
+_INT8_MAX = int(np.iinfo(np.int8).max)
+
+
+#: Fewest cells a swept row (``strips * W``) needs for its group to
+#: start in the int8 rung (:func:`_enters_int8`); narrower groups sweep
+#: their ladder rung.  An int8 row makes more calls than a ladder one
+#: (the decaying scan's subtract a step, the carry's clip and fold) and
+#: moves half the bytes, so it pays once a row is long enough to
+#: amortize the calls, whatever the row's shape.  Whole sweeps at
+#: m = 300 on random subjects under BLOSUM62 and the default penalties,
+#: int8 time over int16 time, best of 5-7 interleaved runs on a 2-CPU
+#: x86-64 host (numpy 2.4):
+#:
+#: * up to 4,096 cells int8 mostly loses, 1.02-1.79x at 1-128 lanes
+#:   (64 lanes over 64 columns: 5.2-5.5 against 4.9-5.0 ns/cell), but
+#:   0.93-0.99x at 2 lanes over 2,000 columns, 8 over 400, 32 over 110
+#:   and 8 one-strip subjects in the strips kernel;
+#: * 4,800-7,040 cells: 0.96-1.06x from 16 lanes (16 over 300, 360 and
+#:   384, 32 over 200, 64 over 80, 96 and 110, 128 over 48), 0.70-0.99x
+#:   below, where int16 accumulates (1 over 5,000, 2 over 3,000, 4 over
+#:   1,200 and 1,536, 8 over 600, 12 strips);
+#: * from 8,192 cells: 0.49-0.95x, but for the strips kernel's carry
+#:   over 16 strips of one or four subjects (1.02-1.04x).
+#:
+#: So the rule sits at the top of the tie band.  The table is in
+#: ``docs/engine.md``; every row of the four bench workloads' groups
+#: holds 14,080 cells or more.
+_INT8_MIN_ROW_CELLS = 6144
+
+
+def _int8_holds(top: int, hi: int) -> bool:
+    """Whether the next :data:`_BOUND_EVERY` rows of a sweep whose
+    scores are at most ``top`` so far, and whose similarities are at
+    most ``hi``, stay inside the int8 rung."""
+    return top + _BOUND_EVERY * hi <= _INT8_MAX
+
+
+def _enters_int8(
+    cells: int, hi: int, max_abs: int, gaps: GapPenalty
+) -> bool:
+    """Whether a sweep of ``cells``-cell rows starts in the int8 rung:
+    rows of at least :data:`_INT8_MIN_ROW_CELLS`, similarities inside
+    int8 (the tiles and ``Htmp``'s low side need ``max_abs <= 127``),
+    ``rho + sigma`` inside int8 and room for the first rows
+    (:func:`_int8_holds` at ``top = 0``)."""
+    return (
+        cells >= _INT8_MIN_ROW_CELLS
+        and max_abs <= _INT8_MAX
+        and gaps.rho + gaps.sigma <= _INT8_MAX
+        and _int8_holds(0, hi)
+    )
+
+
 def count_sweep_work(
     instr: AnyInstrumentation,
     m: int,
@@ -192,6 +289,7 @@ def count_sweep_work(
     strips: int,
     dtype: type,
     scan_steps: int,
+    int8_rows: int,
 ) -> None:
     """Charge one gotoh group sweep's work counters.
 
@@ -200,7 +298,11 @@ def count_sweep_work(
     only ``m * residues`` of those cells are real DP cells.
     ``scan_steps`` is the doubling steps the sweep ran, at most ``m *
     ceil(log2 width)``, and is charged only when some ran (none do on
-    the accumulate side).  Groups
+    the accumulate side).  ``dtype`` is the group's ladder rung
+    (:func:`_working_dtype`), and ``int8_rows`` the rows swept in the
+    int8 rung below it; a group that swept some but not all of its rows
+    in int8 was promoted mid-sweep.  Both int8 counters are charged
+    only when nonzero.  Groups
     scored in pool workers charge these counts worker-side, and each
     accepted chunk ships its registry back as telemetry that the parent
     merges once (see ``repro.engine.executor``), so totals are identical
@@ -213,6 +315,10 @@ def count_sweep_work(
     instr.count("engine.sweep.padded_cells", m * strips * width)
     if scan_steps:
         instr.count("engine.sweep.scan_steps", scan_steps)
+    if int8_rows:
+        instr.count("engine.sweep.int8_rows", int8_rows)
+    if 0 < int8_rows < m:
+        instr.count("engine.sweep.promotions", 1)
     if dtype is np.int16:
         instr.count("engine.sweep.int16_groups", 1)
 
@@ -225,14 +331,16 @@ def count_strips_work(
     strips: int,
     dtype: type,
     scan_steps: int,
+    int8_rows: int,
 ) -> None:
     """Charge one strip-group sweep's work counters.
 
     ``padded_cells`` is the swept strip rectangle ``strips * W`` per
     query row — the quantity the dispatch decision optimizes — not
     the ``(size, max_len)`` packing rectangle the gotoh kernel would
-    have swept for the same subjects.  ``scan_steps`` is as for
-    :func:`count_sweep_work`, at most ``m * ceil(log2 W)``.
+    have swept for the same subjects.  ``scan_steps``, ``dtype`` and
+    ``int8_rows`` are as for :func:`count_sweep_work`; the steps are at
+    most ``m * ceil(log2 W)``.
     """
     instr.count("engine.strips.groups", 1)
     instr.count("engine.strips.sequences", group.size)
@@ -242,6 +350,10 @@ def count_strips_work(
     instr.count("engine.strips.padded_cells", m * strips * width)
     if scan_steps:
         instr.count("engine.strips.scan_steps", scan_steps)
+    if int8_rows:
+        instr.count("engine.strips.int8_rows", int8_rows)
+    if 0 < int8_rows < m:
+        instr.count("engine.strips.promotions", 1)
     if dtype is np.int16:
         instr.count("engine.strips.int16_groups", 1)
 
@@ -252,10 +364,12 @@ def _working_dtype(
     """The narrowest of int16, int32 and int64 every intermediate fits.
 
     ``L`` is the swept row length, the strip width.  The extreme
-    magnitudes are the prefix-scan ramp (``L * sigma``), the decayed F
-    boundary (``~m * sigma + rho`` below the -inf seed) and accumulated
-    similarity (``m * |W|_max``); ``bound`` below covers their sum (the
-    range proof is in :func:`_sweep`).  One ladder, three rungs; the two
+    magnitudes are the prefix-scan ramp (``L * sigma``), the -inf
+    stand-in a cross-strip carry is clipped to before it is cast into
+    the row (``neg`` in :func:`_sweep`, ``~m * sigma + rho`` below
+    ``-m * |W|_max``) and accumulated similarity (``m * |W|_max``);
+    ``bound`` below covers their sum (the range proof is in
+    :func:`_sweep`).  One ladder, three rungs; the two
     narrow ones keep ``bound`` below half their dtype's range:
 
     * **int16** when ``bound < 2**14``: short queries and subjects under
@@ -290,7 +404,10 @@ def _tile_dtype(max_abs: int, dtype: type) -> type:
 
 
 #: ``(W, strips)`` buffers of the working dtype a sweep holds: H, F,
-#: Htmp, the scan's two, the running maximum and the gap ramp.
+#: Htmp, the scan's two, the running maximum and the gap ramp.  Rows in
+#: the int8 rung hold six int8 ones (no ramp), and a promotion frees
+#: them before the wider ones exist, so the ladder rung's seven bound
+#: the peak either way.
 _SWEEP_BUFFERS = 7
 
 #: Bytes per swept cell a search holds beside one group's sweep: the
@@ -346,6 +463,16 @@ def _strip_tiles(
     return np.ascontiguousarray(tiles.T)
 
 
+def _gap_ramp(w: int, strips: int, sigma: int, dtype: type) -> np.ndarray:
+    """``j * sigma`` in row ``j`` of a ``(W, strips)`` buffer, stored for
+    every strip lane: broadcasting one column over a narrow group's
+    rows costs more than reading it."""
+    return np.repeat(
+        (sigma * np.arange(w, dtype=np.int64)).astype(dtype)[:, None],
+        strips, axis=1,
+    )
+
+
 def _similarity_tiles(
     profile: QueryProfile, group: PackedGroup, codes: np.ndarray,
     dtype: type,
@@ -380,7 +507,8 @@ def _sweep(
     gaps: GapPenalty,
     w: int,
     charge: Callable[
-        [AnyInstrumentation, int, PackedGroup, int, int, type, int], None
+        [AnyInstrumentation, int, PackedGroup, int, int, type, int, int],
+        None,
     ],
 ) -> np.ndarray:
     """Optimal local-alignment score of the query against every subject,
@@ -403,7 +531,8 @@ def _sweep(
       ``Htmp``: ``[0, M]`` after its clamp, ``[-max_abs, M + max_abs]``
       before;
     * ``H - rho`` (F's scratch, held in ``g``): ``[-rho, M]``;
-    * F: ``neg - sigma`` on row 0, ``[-rho - sigma, M]`` after;
+    * F: seeded at ``-rho`` (row 0's update reaches it from any deeper
+      seed, as H of row -1 is 0), so ``[-rho - sigma, M]``;
     * in-strip scan (``g``, ``spare``): ``[0, M + (W - 1) * sigma]``;
     * the carry cast into ``h_prev[0]``: an earlier strip's scan value
       decayed by whole strips, clipped from below at ``neg`` in int64
@@ -445,6 +574,47 @@ def _sweep(
     ``<= 0`` there, and E built from it stays a maximum over a subset
     of the true terms that holds every positive one.  ``top`` is
     reduced exactly every :data:`_BOUND_EVERY` rows.
+
+    **The int8 rung.**  A group whose rows hold at least
+    :data:`_INT8_MIN_ROW_CELLS` cells starts below the ladder, in int8,
+    when ``max_abs <= 127``, ``rho + sigma <= 127`` and ``4 * hi <=
+    127`` (:func:`_enters_int8`), and stays there while every reduction
+    finds ``top + 4 * hi <= 127`` (:func:`_int8_holds`).  int8 cannot
+    hold the ramp ``j * sigma``, so these rows take no ramp: the int8
+    tile adds straight onto the diagonal, the scan decays as it doubles
+    (step ``k`` folds row ``j - k`` minus ``k * sigma``,
+    :func:`_decaying_max`), and E at column ``j`` is ``scan[j - 1] -
+    rho``.  With ``bound = top + (since + 1) * hi <= 127`` the row's
+    bound, every int8 value stays in ``[-127, 127]``:
+
+    * the tiles, ``[-max_abs, hi]``, and ``Htmp`` before its clamp, a
+      tile plus an H of the row before (``[0, bound - hi]``), so
+      ``[-max_abs, bound]``: its high side needs only ``hi``, its low
+      side only ``max_abs <= 127``; H, ``Htmp``, ``best`` and ``wrap``,
+      ``[0, bound]``;
+    * ``H - rho``, ``[-rho, bound]``; F, ``[-rho - sigma, bound]``,
+      and ``rho + sigma <= 127``;
+    * the scan, ``[0, bound]``; its decayed operand
+      ``scan - k * sigma`` runs only for ``k < reach`` (the last step
+      halves a window that did not yet cover ``reach``), and ``(reach
+      - 1) * sigma < bound - rho``, so it stays above ``rho - 127``;
+    * E, ``[-rho, bound - rho]``;
+    * the carry: the int64 segmented scan above, on boundary values
+      lifted by ``(W - 1) * sigma`` to the ramped scan's, gives column
+      0's opening value ``c = carry + sigma``, whose E term at column
+      ``j`` is ``c - rho - j * sigma``.  ``c`` is clipped to ``[0,
+      bound]`` before the cast (no true one exceeds the row's Htmp, and
+      one at or below 0 loses to every Htmp), and folded into only the
+      first ``reach`` rows, where ``rho + j * sigma < bound``, so the
+      term stays in ``[-127, bound - rho]``.  Past ``reach`` it is
+      ``<= 0``, as in the ramped scan.
+
+    A reduction that finds the check failing promotes the group in
+    place, once: the live state (H, F, ``best``, ``wrap``) is cast to
+    the ladder rung, the int8 scratch is freed before the wider buffers
+    (and the ramp) are allocated, and the remaining rows run the ramped
+    path above.  Every value carried over is exact, so the promoted
+    sweep scores exactly as if it had run in the ladder rung from row 0.
     """
     validate_penalties(gaps)
     m = profile.length
@@ -471,16 +641,9 @@ def _sweep(
         _tile_dtype(max_abs, dtype),
     )
 
-    #: -inf stand-in for the F seed and the missing carry: deep enough
-    #: that m rows of sigma-decay still lose to any reachable value.
-    neg = dtype(-(m * max_abs + rho + sigma * (m + 2)))
-    neg64 = np.int64(int(neg))
-    #: j * sigma in row j, stored for every strip lane: broadcasting one
-    #: column over a narrow group's rows costs more than reading it.
-    rampw = np.repeat(
-        (sigma * np.arange(w, dtype=np.int64)).astype(dtype)[:, None],
-        strips, axis=1,
-    )
+    #: -inf stand-in for the missing carry: deep enough that m rows of
+    #: sigma-decay still lose to any reachable value.
+    neg64 = np.int64(-(m * max_abs + rho + sigma * (m + 2)))
     #: Whole-strip decay offset of strip s's boundary value:
     #: local_strip * W * sigma (int64 — can exceed a narrow dtype for
     #: adversarial penalties).
@@ -499,34 +662,74 @@ def _sweep(
     )
     seg_pen = big * seq_of
 
-    # Row j of each (W, strips) buffer is in-strip column j of every
-    # strip lane.
-    h_prev = np.zeros((w, strips), dtype=dtype)  # H of row i-1, then row i
-    f = np.full((w, strips), neg, dtype=dtype)  # F of row i-1, then row i
-    htmp = np.empty_like(h_prev)  # max(0, F, H_diag + W): H before E
-    g = np.empty_like(h_prev)  # in-strip scan buffer
-    spare = np.empty_like(h_prev)  # the doubling scan's second buffer
-    best = np.zeros_like(h_prev)  # running elementwise maximum of Htmp
-    wrap = np.zeros(strips, dtype=dtype)  # diagonal of in-strip column 0
-    bshift = np.empty(strips, dtype=np.int64)
-    key = np.empty(strips, dtype=np.int64)
-    carry = np.empty(strips, dtype=np.int64)
-
     #: The largest similarity any cell adds (pads add 0), and the exact
     #: maximum of best as of the last reduction: with the rows since,
     #: they bound this row's Htmp and so the scan's depth.
     hi = max(int(profile.scores.max()), 0)
     top = 0
+    #: Whether the sweep is in the int8 rung, which it leaves at most
+    #: once, for dtype; int8_rows counts the rows it swept there.
+    narrow = _enters_int8(strips * w, hi, max_abs, gaps)
+    int8_rows = 0
+    rung = np.int8 if narrow else dtype
+
+    # Row j of each (W, strips) buffer is in-strip column j of every
+    # strip lane.  F starts at -rho, which row 0's update reaches from
+    # any deeper seed (H of row -1 is 0).
+    h_prev = np.zeros((w, strips), dtype=rung)  # H of row i-1, then row i
+    f = np.full((w, strips), -rho, dtype=rung)  # F of row i-1, then row i
+    best = np.zeros_like(h_prev)  # running elementwise maximum of Htmp
+    wrap = np.zeros(strips, dtype=rung)  # diagonal of in-strip column 0
+    htmp = np.empty_like(h_prev)  # max(0, F, H_diag + W): H before E
+    g = np.empty_like(h_prev)  # in-strip scan buffer
+    spare = np.empty_like(h_prev)  # the doubling scan's second buffer
+    bshift = np.empty(strips, dtype=np.int64)
+    key = np.empty(strips, dtype=np.int64)
+    carry = np.empty(strips, dtype=np.int64)
+    if narrow:
+        rampw = None  # built on promotion
+        #: rho + j * sigma down the rows where it fits int8: the decay
+        #: of a carry's E term at in-strip column j (j < reach stays
+        #: below the row's bound, so every folded row is here).
+        fold = (
+            rho + sigma * np.arange(
+                min(w, (_INT8_MAX - rho) // sigma + 1), dtype=np.int64
+            )
+        ).astype(np.int8)[:, None]
+        carry8 = np.empty(strips, dtype=np.int8)
+        #: The carry's floor: an E opening value at or below 0 loses
+        #: to every Htmp.
+        floor8 = np.int64(0)
+        #: The scan's boundary value at in-strip column W - 1 is the
+        #: ramped scan's less (W - 1) * sigma.
+        lift = off + np.int64(sigma) * (w - 1)
+    else:
+        rampw = _gap_ramp(w, strips, sigma, dtype)
+
     doubling = _takes_doubling(strips, dtype)
     scan_steps = 0
     for i, t in enumerate(row_tile.tolist()):
         since = i % _BOUND_EVERY
         if since == 0:
             top = int(best.max())
-        # Row i's Htmp is at most top + (since + 1) * hi, so E terms
-        # opened more than reach columns back are <= 0 <= Htmp.
-        reach = -((rho - top - (since + 1) * hi) // sigma)
-        if doubling:
+            if narrow and not _int8_holds(top, hi):
+                # Promote in place: free the int8 scratch, widen the
+                # live state to the ladder rung, and finish on the
+                # ramped path.
+                narrow, int8_rows = False, i
+                del htmp, g, spare, scan, fold, carry8
+                h_prev, f, best, wrap = (
+                    x.astype(dtype) for x in (h_prev, f, best, wrap)
+                )
+                htmp = np.empty_like(h_prev)
+                g = np.empty_like(h_prev)
+                spare = np.empty_like(h_prev)
+                rampw = _gap_ramp(w, strips, sigma, dtype)
+        # Row i's Htmp is at most bound = top + (since + 1) * hi, so E
+        # terms opened more than reach columns back are <= 0 <= Htmp.
+        bound = top + (since + 1) * hi
+        reach = -((rho - bound) // sigma)
+        if doubling or narrow:
             scan_steps += _doubling_steps(reach, w)
         # F[i] = max(F[i-1] - sigma, H[i-1] - rho), elementwise per lane.
         # g is dead until the scan input overwrites all of it below, so
@@ -536,13 +739,18 @@ def _sweep(
         np.maximum(f, g, out=f)
         # Htmp = max(0, F, H[i-1][c-1] + W) — H with E not yet folded in.
         # The similarity of query row i against every strip column is
-        # its symbol's tile, cast-copied into Htmp: adding an int8 tile
-        # to a wider row in one mixed-dtype ufunc costs more than the
-        # copy and a same-dtype add.  The diagonal is an in-strip
-        # shift, and in column 0 a wrap from the previous strip's last
-        # column (zero at each subject's strip 0).
-        np.copyto(htmp, tiles[t])
-        np.add(htmp[1:], h_prev[:-1], out=htmp[1:])
+        # its symbol's tile.  In int8 it adds straight onto the
+        # diagonal; a wider rung cast-copies it into Htmp first, since
+        # adding an int8 tile to a wider row in one mixed-dtype ufunc
+        # costs more than the copy and a same-dtype add.  The diagonal
+        # is an in-strip shift, and in column 0 a wrap from the
+        # previous strip's last column (zero at each subject's strip 0).
+        if narrow:
+            np.add(tiles[t, 1:], h_prev[:-1], out=htmp[1:])
+            htmp[0] = tiles[t, 0]
+        else:
+            np.copyto(htmp, tiles[t])
+            np.add(htmp[1:], h_prev[:-1], out=htmp[1:])
         if carries:
             wrap[1:] = h_prev[-1, :-1]
             wrap[first] = 0
@@ -560,42 +768,71 @@ def _sweep(
         # per-row reduction down axis 0 costs up to 12 ns a cell on a
         # narrow group.
         np.maximum(best, htmp, out=best)
-        # In-strip prefix maximum of Htmp + j*sigma, reach columns deep.
-        np.add(htmp, rampw, out=g)
-        scan = _prefix_max(g, spare, reach)
-        # E at in-strip column j is max(G[s, j-1], carry[s]) - j*sigma
-        # - (rho - sigma), built in h_prev (fully consumed above) as
-        # X[j] - rho with X[j] = max(G[j-1], carry) - (j-1)*sigma.
-        # Column 0 has no in-strip G: its only term is the carry, which
-        # crosses the strip boundary (the "-1" column).
+        # In-strip prefix maximum, reach columns deep: in int8 the
+        # decaying scan of Htmp, in a wider rung the plain scan of
+        # Htmp + j*sigma.
+        if narrow:
+            scan = _decaying_max(htmp, g, spare, reach, sigma)
+        else:
+            np.add(htmp, rampw, out=g)
+            scan = _prefix_max(g, spare, reach)
         if carries:
             # Cross-strip carry: exclusive segmented prefix maximum of
             # each strip's boundary value
-            # B[s] = G[s, -1] + s_local * W * sigma.
-            np.add(scan[-1, :-1], off[:-1], out=bshift[1:])
+            # B[s] = G[s, -1] + s_local * W * sigma, with G the ramped
+            # scan.
+            np.add(scan[-1, :-1], (lift if narrow else off)[:-1],
+                   out=bshift[1:])
             bshift[0] = neg64
             bshift[first] = neg64
             np.add(bshift, seg_pen, out=key)
             np.maximum.accumulate(key, out=key)
             np.subtract(key, seg_pen, out=carry)
             np.subtract(carry, off, out=carry)  # into strip-local terms
-            np.maximum(carry, neg64, out=carry)  # clip leaked/-inf values
-            np.copyto(h_prev[0], carry, casting="unsafe")
-            np.maximum(scan[:-1], h_prev[0], out=h_prev[1:])
-            np.subtract(h_prev[1:], rampw[:-1], out=h_prev[1:])
-            np.add(h_prev[0], sigma, out=h_prev[0])
-        else:
-            # No carry: column 0 has no E candidate, and 0 - rho loses
-            # to Htmp >= 0.
-            np.subtract(scan[:-1], rampw[:-1], out=h_prev[1:])
+        if narrow:
+            # E at in-strip column j >= 1 is scan[j-1] - rho; column 0
+            # has no in-strip term.
+            np.subtract(scan[:-1], rho, out=h_prev[1:])
             h_prev[0] = 0
+            if carries:
+                # The carry's E term at column j is c - rho - j*sigma,
+                # c = carry + sigma, positive only for j < reach: c is
+                # clipped to [0, bound] as it is cast to int8, and
+                # folded into those rows alone (g is dead once E is
+                # built).
+                np.add(carry, sigma, out=carry)
+                np.clip(carry, floor8, bound, out=carry8, casting="unsafe")
+                rows = min(reach, fold.shape[0])
+                if rows > 0:
+                    np.subtract(carry8, fold[:rows], out=g[:rows])
+                    np.maximum(h_prev[:rows], g[:rows], out=h_prev[:rows])
+        else:
+            # E at in-strip column j is max(G[s, j-1], carry[s]) -
+            # j*sigma - (rho - sigma), built in h_prev (fully consumed
+            # above) as X[j] - rho with X[j] = max(G[j-1], carry) -
+            # (j-1)*sigma.  Column 0 has no in-strip G: its only term is
+            # the carry, which crosses the strip boundary (the "-1"
+            # column).
+            if carries:
+                np.maximum(carry, neg64, out=carry)  # clip leaked/-inf
+                np.copyto(h_prev[0], carry, casting="unsafe")
+                np.maximum(scan[:-1], h_prev[0], out=h_prev[1:])
+                np.subtract(h_prev[1:], rampw[:-1], out=h_prev[1:])
+                np.add(h_prev[0], sigma, out=h_prev[0])
+            else:
+                # No carry: column 0 has no E candidate, and 0 - rho
+                # loses to Htmp >= 0.
+                np.subtract(scan[:-1], rampw[:-1], out=h_prev[1:])
+                h_prev[0] = 0
+            np.subtract(h_prev, rho, out=h_prev)
         # H row i = max(Htmp, E).
-        np.subtract(h_prev, rho, out=h_prev)
         np.maximum(h_prev, htmp, out=h_prev)
+    if narrow:
+        int8_rows = m
 
     instr = obs_current()
     if instr.enabled:
-        charge(instr, m, group, w, strips, dtype, scan_steps)
+        charge(instr, m, group, w, strips, dtype, scan_steps, int8_rows)
     lane_best = best.max(axis=0).astype(np.int64)
     if carries:
         lane_best = np.maximum.reduceat(lane_best, offsets[:-1])

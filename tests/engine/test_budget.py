@@ -230,6 +230,45 @@ class TestEstimateCoversSweep:
             "checks": 1, "underestimates": 0, "numpy.ma": False
         }
 
+    def test_promoting_group_fits_the_estimate(self, tmp_path):
+        """A group that starts in int8 and promotes mid-sweep frees its
+        int8 scratch before the wider buffers exist, so a fresh
+        ``repro search --mem-phases`` over groups holding copies of the
+        query (which score far past the int8 check) stays within the
+        estimate priced at the ladder rung."""
+        from repro.sequence import write_fasta
+
+        rng = np.random.default_rng(47)
+        query = random_protein(300, rng, id="q")
+        # 90-aa windows of the query: as long as the random subjects, so
+        # all 128 pack into one gotoh group.
+        subjects = [
+            Sequence.random(f"s{i}", int(n), rng)
+            for i, n in enumerate(rng.integers(20, 101, size=124))
+        ] + [
+            Sequence(f"h{k}", query.codes[70 * k: 70 * k + 90])
+            for k in range(4)
+        ]
+        write_fasta([query], tmp_path / "q.fasta")
+        write_fasta(subjects, tmp_path / "db.fasta")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "search", "q.fasta", "db.fasta",
+             "--mem-phases", "--metrics-out", "m.json"],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        counters = json.loads((tmp_path / "m.json").read_text())["counters"]
+        assert counters["engine.sweep.groups"] == 1
+        assert counters["engine.sweep.promotions"] == 1
+        assert 0 < counters["engine.sweep.int8_rows"] < 300
+        assert counters["engine.mem.budget_checks"] == 1
+        assert counters.get("engine.mem.budget_underestimates", 0) == 0
+
     @pytest.mark.parametrize(
         "config, query_length, kernel",
         [

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.alphabet import BLOSUM62, PROTEIN, GapPenalty, SubstitutionMatrix
 from repro.engine import BatchedEngine, SearchConfig
 from repro.engine.lanes import (
+    _INT8_MIN_ROW_CELLS,
     _sweep,
     _takes_doubling,
     _working_dtype,
@@ -244,12 +245,15 @@ class TestWorkingBuffersStayInRung:
     ``f = f - np.int64(sigma)`` widens the row sweep's int16 rung to
     int64 and leaves every score exact, so only a dtype check catches
     it.  The row sweep's similarity tiles are the one buffer outside
-    the rung: int8 while the matrix fits, the rung's dtype past 127."""
+    the rung: int8 while the matrix fits, the rung's dtype past 127.
+    A group whose rows clear the int8 row rule sweeps in int8 below its
+    ladder rung: its buffers are int8 if it never promotes, and all of
+    the ladder's dtype, none left int8, once it has."""
 
     @pytest.mark.parametrize("scale", [1, 20], ids=["int8-tiles", "wide-tiles"])
     @pytest.mark.parametrize(
-        "lengths", [[3, 17, 30], [3, 17, 30] * 22],
-        ids=["accumulate", "doubling"],
+        "lengths", [[3, 17, 30], [3, 17, 30] * 22, [3, 17, 30] * 96],
+        ids=["accumulate", "doubling", "int8-rows"],
     )
     @pytest.mark.parametrize(
         "gaps", [GP, GapPenalty(rho=2**20, sigma=2**20)],
@@ -284,6 +288,14 @@ class TestWorkingBuffersStayInRung:
         scores, frame = _locals_at_return(
             fn, profile, group, gaps, frame_of=_sweep
         )
+        # Only the int8-rows groups clear the int8 row rule.  Random
+        # subjects never promote: those of an int8-wide matrix under
+        # the default penalties swept int8 to the last row, the rest
+        # their ladder rung.
+        lanes = frame["spare"].shape[1]
+        assert (lanes * width >= _INT8_MIN_ROW_CELLS) == (len(lengths) > 66)
+        narrow = gaps is GP and scale == 1 and len(lengths) > 66
+        assert frame["int8_rows"] == (20 if narrow else 0)
         assert scores.tolist() == [
             sw_score_scalar(query, d, matrix, gaps) for d in subjects
         ]
@@ -295,7 +307,6 @@ class TestWorkingBuffersStayInRung:
             assert frame[name].dtype == np.int64, name
         # The group sits on the scan-rule side its id names, and the
         # doubling scan's second buffer is among the checked ones.
-        lanes = frame["spare"].shape[1]
         assert _takes_doubling(lanes, expected) == (len(lengths) > 3)
         # One (W, strips) similarity tile per distinct query symbol.
         tiles = frame["tiles"]
@@ -305,7 +316,70 @@ class TestWorkingBuffersStayInRung:
         assert tiles.dtype == (np.int8 if scale == 1 else expected)
         buffers = _buffer_dtypes(frame, 2)
         assert len(buffers) >= 5, buffers
-        assert all(dtype == expected for dtype in buffers.values()), buffers
+        rung = np.int8 if narrow else expected
+        assert all(dtype == rung for dtype in buffers.values()), buffers
+        assert (frame["rampw"] is None) == narrow
+
+    @pytest.mark.parametrize(
+        "m, worst, ladder", [(40, None, np.int16), (100, 80, np.int32)],
+        ids=["int16", "int32"],
+    )
+    @pytest.mark.parametrize(
+        "entry, width, branch",
+        [("gotoh", 40, "one-strip"), ("strips", 8, "carry"),
+         ("strips", 128, "one-strip")],
+        ids=["row-one-strip", "strips-carry", "strips-one-strip"],
+    )
+    def test_promoted_buffers_take_the_ladder_rung(
+        self, entry, width, branch, m, worst, ladder
+    ):
+        # A copy of the query among 288 random subjects (copies of 33,
+        # so every entry's rows clear the int8 row rule) trips the int8
+        # check mid-sweep.  For the int32 ladder, W scores -80 against
+        # everything: the query holds no W, so its largest similarity
+        # stays at most 9 (4 * 9 leaves room to enter int8, and 80 fits
+        # it) while 2 * m * max_abs passes 2**14.
+        rng = np.random.default_rng(13)
+        w_code = PROTEIN.code_of("W")
+        codes = PROTEIN.random_codes(m, rng)
+        codes[codes == w_code] = PROTEIN.code_of("A")
+        query = Sequence("q", codes)
+        pool = [
+            Sequence.random(f"d{i}", n, rng)
+            for i, n in enumerate([3, 17, 30] * 11)
+        ] + [Sequence("homolog", query.codes.copy())]
+        subjects = [pool[i % 33] for i in range(288)] + pool[-1:]
+        scores_table = BLOSUM62.scores.copy()
+        if worst is not None:
+            scores_table[w_code, :] = scores_table[:, w_code] = -worst
+        matrix = SubstitutionMatrix("BLOSUM62, W", PROTEIN, scores_table)
+        profile = QueryProfile(query.codes, matrix)
+        if entry == "gotoh":
+            fn, group = score_packed_group, _group(subjects)
+            width = group.max_length
+        else:
+            fn = partial(score_packed_group_strips, strip_width=width)
+            group = _group(subjects, "strips")
+        max_abs = int(np.abs(profile.scores).max())
+        assert _working_dtype(m, width, max_abs, GP) is ladder
+        scores, frame = _locals_at_return(
+            fn, profile, group, GP, frame_of=_sweep
+        )
+        reference = {
+            id(d): sw_score_scalar(query, d, matrix, GP) for d in pool
+        }
+        assert scores.tolist() == [reference[id(d)] for d in subjects]
+        assert frame["spare"].shape[1] * width >= _INT8_MIN_ROW_CELLS
+        assert frame["carries"] == (branch == "carry")
+        assert 0 < frame["int8_rows"] < m
+        buffers = _buffer_dtypes(frame, 2)
+        assert {"h_prev", "f", "best", "htmp", "g", "spare", "rampw"} <= set(
+            buffers
+        ), buffers
+        assert all(dtype == ladder for dtype in buffers.values()), buffers
+        assert frame["wrap"].dtype == ladder
+        for name in ("bshift", "key", "carry"):
+            assert frame[name].dtype == np.int64, name
 
     @pytest.mark.parametrize("tier", [8, 16])
     def test_striped_tier_state_keeps_the_tier_dtype(self, tier):

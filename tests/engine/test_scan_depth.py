@@ -27,6 +27,7 @@ from repro.alphabet import BLOSUM62, PROTEIN, GapPenalty, SubstitutionMatrix
 from repro.engine import lanes
 from repro.engine.lanes import (
     _DOUBLING_MIN_LANES,
+    _decaying_max,
     _doubling_steps,
     _prefix_max,
     _takes_doubling,
@@ -89,8 +90,9 @@ def _mutant(codes, rng, rate):
 @st.composite
 def homolog_groups(draw):
     """A query, subjects that are mutated copies or embeddings of it
-    (and a few unrelated ones), a matrix, penalties and a strip width
-    that makes the longest subjects cross strip boundaries."""
+    (and a few unrelated ones), a matrix, penalties, a strip width that
+    makes the longest subjects cross strip boundaries, and the int8 row
+    rule to sweep under: the real one, or one every group clears."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(4, 28))
     query = PROTEIN.random_codes(m, rng)
@@ -120,29 +122,49 @@ def homolog_groups(draw):
         subjects.append(Sequence(f"d{i}", codes.astype(np.uint8)))
     longest = max(len(s) for s in subjects)
     width = draw(st.integers(1, max(longest - 1, 1)))
-    return Sequence("q", query), subjects, matrix, gaps, width
+    # These groups' rows fall short of the int8 row rule; at a rule of
+    # one cell, the scale-1 ones sweep int8 (x64 starts past it).
+    int8_cells = draw(st.sampled_from([lanes._INT8_MIN_ROW_CELLS, 1]))
+    return Sequence("q", query), subjects, matrix, gaps, width, int8_cells
 
 
 @contextlib.contextmanager
 def _depth_probe():
     """Yield the list of doubling steps each row of the sweeps run
-    inside the block takes, by wrapping ``lanes._prefix_max`` (the
-    sweep looks it up per call)."""
-    depths = []
+    inside the block takes, by wrapping ``lanes._prefix_max`` and the
+    int8 rung's ``lanes._decaying_max`` (the sweep looks both up per
+    call).  The list's ``int8`` attribute counts the int8 rows."""
+    depths = _Depths()
 
     def scan(g, spare, reach):
         if _takes_doubling(g.shape[1], g.dtype):
             depths.append(_doubling_steps(reach, g.shape[0]))
         return _prefix_max(g, spare, reach)
 
-    with mock.patch.object(lanes, "_prefix_max", scan):
+    def decaying(htmp, g, spare, reach, sigma):
+        assert htmp.dtype == g.dtype == spare.dtype == np.int8
+        depths.int8 += 1
+        depths.append(_doubling_steps(reach, htmp.shape[0]))
+        return _decaying_max(htmp, g, spare, reach, sigma)
+
+    with mock.patch.object(lanes, "_prefix_max", scan), mock.patch.object(
+        lanes, "_decaying_max", decaying
+    ):
         yield depths
+
+
+class _Depths(list):
+    int8 = 0
 
 
 def _depth_event(entry, depths, counters, prefix, width, dtype):
     """Label how deep a sweep's doubling scan ran, against the full
     ``ceil(log2 width)`` a row, and check the ``scan_steps`` counter."""
     steps = counters.get(prefix + "scan_steps", 0)
+    assert counters.get(prefix + "int8_rows", 0) == depths.int8
+    if depths.int8:
+        promoted = prefix + "promotions" in counters
+        event(f"{entry} int8 rows, {'' if promoted else 'not '}promoted")
     if not depths:
         event(f"{entry} accumulate scan")
         assert steps == 0
@@ -162,7 +184,12 @@ class TestDepthCappedSweepsAgainstScalar:
     @settings(max_examples=40, deadline=None)
     @given(case=homolog_groups())
     def test_homologs_score_exactly(self, case):
-        query, subjects, matrix, gaps, width = case
+        query, subjects, matrix, gaps, width, int8_cells = case
+        rule = mock.patch.object(lanes, "_INT8_MIN_ROW_CELLS", int8_cells)
+        with rule:
+            self._check(query, subjects, matrix, gaps, width)
+
+    def _check(self, query, subjects, matrix, gaps, width):
         db = Database.from_sequences(subjects)
         members = np.arange(len(subjects))
         profile = QueryProfile(query.codes, matrix)
@@ -224,7 +251,9 @@ class TestNoScalarOperandClamps:
     and costs several times the same-shape one, so the sweep clamps
     against arrays."""
 
-    @pytest.mark.parametrize("fn", [lanes._sweep, lanes._prefix_max])
+    @pytest.mark.parametrize(
+        "fn", [lanes._sweep, lanes._prefix_max, lanes._decaying_max]
+    )
     def test_no_numeric_literal_operands(self, fn):
         assert _scalar_operand_clamps(fn) == []
 

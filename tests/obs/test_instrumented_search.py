@@ -163,10 +163,11 @@ class TestBitExactCounters:
 
 
 class TestWorkingDtypeCounters:
-    """The int16 tier counters say which rung each row/strip sweep ran
-    in, the scan-step counters how deep its prefix scans went; both are
-    charged where the group is swept, so pooled runs report the serial
-    totals."""
+    """The int16 tier counters say which ladder rung each row/strip
+    sweep has, the int8 counters how many of its rows ran below it and
+    whether it promoted, the scan-step counters how deep its prefix
+    scans went; all are charged where the group is swept, so pooled runs
+    report the serial totals."""
 
     @pytest.mark.parametrize(
         "engine, extra, kernel",
@@ -228,6 +229,46 @@ class TestWorkingDtypeCounters:
         # Random subjects score far below what the full depth of every
         # row, ceil(log2 W) steps with W < 200, would be needed for.
         assert 0 < steps < serial[kernel + "rows"] * math.ceil(math.log2(200))
+
+    @pytest.mark.parametrize(
+        "extra, kernel",
+        [({}, "engine.sweep."), ({"split_threshold": 100}, "engine.strips.")],
+        ids=["gotoh", "strips"],
+    )
+    def test_int8_counters_identical_to_serial(self, query, extra, kernel):
+        # 64-lane groups of 96-200 aa subjects clear the int8 row rule
+        # and sweep in int8; a copy of the query, the shortest subject
+        # of its kernel, scores past the int8 check and promotes its
+        # group mid-sweep, while the rest stay int8 to the last row.
+        rng = np.random.default_rng(15)
+        subjects = [
+            Sequence.random(f"w{i}", int(n), rng)
+            for i, n in enumerate(rng.integers(96, 201, size=128))
+        ]
+        subjects[5] = Sequence("copy", query.codes.copy())
+        if kernel == "engine.strips.":
+            # A 105-aa copy, past the split and the shortest of the
+            # strips kernel's subjects: in its first 64-lane group.
+            subjects[90] = Sequence(
+                "copy-tail",
+                np.concatenate([query.codes, subjects[90].codes[:25]]),
+            )
+        wide = Database.from_sequences(subjects)
+        runs = []
+        for workers in (1, 2):
+            app = CudaSW()
+            app.search(
+                query, wide, collect="counters", workers=workers,
+                group_size=64, fault_policy=FaultPolicy(chunksize=1), **extra,
+            )
+            runs.append(app.last_run_report.counters)
+        serial, fanned = runs
+        assert fanned.get("engine.executor.worker_round_trips", 0) > 0
+        for name in ("int8_rows", "promotions"):
+            assert serial[kernel + name] == fanned[kernel + name], name
+        assert 0 < serial[kernel + "promotions"] < serial[kernel + "groups"]
+        rows = serial[kernel + "rows"]
+        assert 0 < serial[kernel + "int8_rows"] < rows
 
     def test_wide_rung_groups_not_counted(self, query, db):
         app = CudaSW(gaps=GapPenalty(rho=2**20, sigma=2**20))
