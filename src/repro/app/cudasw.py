@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -454,24 +455,51 @@ class CudaSW:
                 query, db, store, config, checkpoint, resume,
                 simulate_kernels,
             )
-        meta = {
-            "query_id": query.id,
-            "query_length": len(query),
-            "database_sequences": len(db),
-            "database_residues": db.total_residues,
-            "engine": "simulate_kernels" if simulate_kernels else engine,
-            "workers": workers,
-            "device": self.device.name,
-        }
-        if store is not None:
-            meta["database_store"] = str(store.path)
         self.last_run_report = RunReport.from_instrumentation(
             instr,
             engine_report=self.last_engine_report,
             search_report=report,
-            meta=meta,
+            meta=self.run_report_meta(
+                query,
+                db if store is None else store,
+                engine="simulate_kernels" if simulate_kernels else engine,
+                workers=workers,
+            ),
         )
         return result, report
+
+    def run_report_meta(
+        self,
+        query: Sequence,
+        db: Database | DatabaseStore,
+        *,
+        engine: str,
+        workers: int,
+        database: str | None = None,
+    ) -> dict[str, Any]:
+        """The ``meta`` section of a search's :class:`~repro.obs.RunReport`.
+
+        ``database`` is an optional label (the CLI passes the path it
+        searched); a :class:`~repro.engine.DatabaseStore` adds its path
+        as ``database_store``.
+        """
+        view = db.database if isinstance(db, DatabaseStore) else db
+        meta: dict[str, Any] = {
+            "query_id": query.id,
+            "query_length": len(query),
+        }
+        if database is not None:
+            meta["database"] = database
+        meta.update(
+            database_sequences=len(view),
+            database_residues=view.total_residues,
+            engine=engine,
+            workers=workers,
+            device=self.device.name,
+        )
+        if isinstance(db, DatabaseStore):
+            meta["database_store"] = str(db.path)
+        return meta
 
     def _search_traced(
         self,

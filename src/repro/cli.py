@@ -488,23 +488,14 @@ def _cmd_search(args, out: IO[str]) -> int:
             )
     run_report = None
     if observing:
-        meta = {
-            "query_id": query.id,
-            "query_length": len(query),
-            "database": db_label,
-            "database_sequences": len(db_view),
-            "database_residues": db_view.total_residues,
-            "engine": args.engine,
-            "workers": args.workers,
-            "device": report.device,
-        }
-        if isinstance(search_db, DatabaseStore):
-            meta["database_store"] = str(search_db.path)
         run_report = obs.RunReport.from_instrumentation(
             instr,
             engine_report=app.last_engine_report,
             search_report=report,
-            meta=meta,
+            meta=app.run_report_meta(
+                query, search_db, engine=args.engine,
+                workers=args.workers, database=db_label,
+            ),
         )
     print(
         f"# query {query.id} ({len(query)} aa) vs {db_label} "

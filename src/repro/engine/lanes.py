@@ -185,7 +185,7 @@ def _prefix_max(g: np.ndarray, spare: np.ndarray, reach: int) -> np.ndarray:
     n, lanes = g.shape
     if not _takes_doubling(lanes, g.dtype):
         # The sweep hands both buffers over for the scan.
-        np.maximum.accumulate(g, axis=0, out=g)  # repro-lint: disable=RPL101
+        np.maximum.accumulate(g, axis=0, out=g)
         return g
     src, dst = g, spare
     for step in range(_doubling_steps(reach, n)):

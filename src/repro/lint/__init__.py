@@ -4,17 +4,17 @@ A full section of the source paper is devoted to bugs visible only by
 inspecting generated code — the nvcc shallow pointer swap and the
 register-array spill that silently wrecked the improved intra-task
 kernel (Section III-A).  This package encodes that lesson as
-machine-checked invariants over *this* codebase: aliased buffer swaps
-in wavefront sweeps, dtype-unstable score arithmetic, unseeded
-randomness inside the determinism contract, drift between emitted
-counter/span names and their documented registry, swallowed executor
-failures, and untyped/undocumented public API.
+machine-checked invariants over *this* codebase, kept only where they
+catch what the tests miss: score arrays allocated without a pinned
+dtype, unseeded randomness inside the determinism contract, drift
+between emitted counter/span names and their documented registry,
+swallowed executor failures, and untyped/undocumented public API.
 
 Pieces:
 
 * :mod:`~repro.lint.rules` — the :class:`~repro.lint.rules.Rule`
-  framework and the built-in ruleset, six single-pass AST rules
-  (``RPL101``..``RPL106``);
+  framework and the built-in ruleset, five single-pass AST rules
+  (``RPL102``..``RPL106``);
 * :mod:`~repro.lint.runner` — file discovery, AST dispatch, cross-file
   ``finish`` hooks and inline ``# repro-lint: disable=...``
   suppressions;

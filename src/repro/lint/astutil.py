@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 __all__ = [
     "dotted_name",
     "call_name",
     "has_kwarg",
-    "kwarg_value",
-    "iter_functions",
     "str_arg",
     "qualname_index",
 ]
@@ -36,23 +33,6 @@ def call_name(node: ast.Call) -> str | None:
 def has_kwarg(call: ast.Call, name: str) -> bool:
     """Whether ``call`` passes keyword argument ``name``."""
     return any(kw.arg == name for kw in call.keywords)
-
-
-def kwarg_value(call: ast.Call, name: str) -> ast.expr | None:
-    """The value expression of keyword ``name``, or ``None``."""
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
-def iter_functions(
-    tree: ast.AST,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function/method definition anywhere in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def qualname_index(tree: ast.AST) -> dict[int, str]:

@@ -44,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Domain static analysis for the CUDASW++ reproduction: "
-            "single-pass AST rules for buffer aliasing, dtype stability, "
-            "determinism, the observability registry, exception hygiene "
-            "and public-API coverage."
+            "single-pass AST rules for dtype stability, determinism, "
+            "the observability registry, exception hygiene and "
+            "public-API coverage."
         ),
     )
     parser.add_argument(

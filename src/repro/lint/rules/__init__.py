@@ -22,7 +22,6 @@ from repro.lint.rules.base import (
 # Import for the registration side effect: each module defines and
 # registers its rule class.
 from repro.lint.rules import (  # noqa: F401  (registration imports)
-    aliasing,
     api_docs,
     dtypes,
     exceptions,

@@ -1,7 +1,7 @@
 """Inline suppression comments.
 
 ``# repro-lint: disable=RPL105`` on a line suppresses that rule for the
-statement on that line; ``disable=RPL101,RPL105`` lists several,
+statement on that line; ``disable=RPL102,RPL105`` lists several,
 ``disable=all`` suppresses every rule.  Rules may be named by id
 (``RPL105``) or by name (``except-swallow``).
 
@@ -53,6 +53,12 @@ class SuppressionMap:
 
     def __len__(self) -> int:
         return len(self._by_line)
+
+    def named_rules(self) -> frozenset[str]:
+        """Every rule id or name (or ``all``) a directive names."""
+        return frozenset(
+            rule for rules in self._by_line.values() for rule in rules
+        )
 
 
 def scan_suppressions(source: str) -> SuppressionMap:

@@ -27,8 +27,7 @@ layer for the functional engines and kernel models:
   merge of spans + counters + histograms + worker lanes +
   :class:`~repro.engine.EngineReport` +
   :class:`~repro.app.cudasw.SearchReport`, with a ``--profile`` text
-  rendering, a Prometheus exposition helper and the trace export
-  front end.
+  rendering and the trace export front end.
 
 Typical use::
 
@@ -66,13 +65,7 @@ from repro.obs.histogram import (
     bucket_scheme,
 )
 from repro.obs.memphase import MemoryPhaseTracker
-from repro.obs.report import (
-    SCHEMA_VERSION,
-    RunReport,
-    desanitize_metric_name,
-    format_le,
-    sanitize_metric_name,
-)
+from repro.obs.report import SCHEMA_VERSION, RunReport
 from repro.obs.spans import Span, SpanPhaseHook, Tracer, render_forest
 from repro.obs.trace_export import trace_document, trace_json
 
@@ -94,9 +87,6 @@ __all__ = [
     "MemoryPhaseTracker",
     "SCHEMA_VERSION",
     "RunReport",
-    "desanitize_metric_name",
-    "format_le",
-    "sanitize_metric_name",
     "Span",
     "SpanPhaseHook",
     "Tracer",

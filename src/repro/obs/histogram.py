@@ -11,9 +11,7 @@ Buckets are fixed per metric name (:data:`BUCKET_SCHEMES`), which makes
 histograms **mergeable**: two histograms over the same boundaries merge
 by adding bucket counts — the property that lets worker processes ship
 their histograms back with each chunk result and the parent fold them
-into one distribution (see ``repro.engine.executor``), and that a
-Prometheus scrape relies on (`le` labels must be stable across
-processes and restarts).
+into one distribution (see ``repro.engine.executor``).
 
 Observations are floats; each lands in the first bucket whose upper
 boundary is ``>= value`` (the last bucket is an implicit ``+Inf``

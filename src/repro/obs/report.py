@@ -11,18 +11,11 @@ The CLI's ``--metrics-out`` writes it, ``--profile`` renders it,
 ``--trace-out`` exports the span forest as Chrome trace-event JSON,
 and benchmarks emit their results through the same writer so
 ``BENCH_*`` artifacts carry phase breakdowns.
-
-``to_prometheus`` emits the counters, span totals and histograms in
-the Prometheus text exposition format (histograms as
-``_bucket``/``_sum``/``_count`` series with cumulative ``le`` labels),
-for a future service front end to scrape.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -37,9 +30,6 @@ if TYPE_CHECKING:
 __all__ = [
     "RunReport",
     "SCHEMA_VERSION",
-    "desanitize_metric_name",
-    "format_le",
-    "sanitize_metric_name",
 ]
 
 #: Version of the JSON document layout.  Bump on breaking changes.
@@ -47,8 +37,6 @@ __all__ = [
 #: the engine section's ``lane_engine`` with ``lane_engines`` (the
 #: sorted, distinct lane kernels the search's groups were swept with).
 SCHEMA_VERSION = 3
-
-_PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def _engine_report_dict(engine_report: EngineReport) -> dict[str, Any]:
@@ -285,58 +273,6 @@ class RunReport:
             )
         return "\n".join(parts)
 
-    def to_prometheus(self, *, prefix: str = "repro") -> str:
-        """Prometheus text exposition of counters, span totals and
-        histograms (``_bucket``/``_sum``/``_count`` with cumulative
-        ``le`` labels)."""
-        lines = [
-            f"# HELP {prefix}_counter_total "
-            "Instrumentation counter totals for one run.",
-            f"# TYPE {prefix}_counter_total counter",
-        ]
-        for name, value in sorted(self.counters.items()):
-            lines.append(
-                f'{prefix}_counter_total{{name="{name}"}} {value}'
-            )
-        span_totals = self.span_seconds()
-        if span_totals:
-            lines.append(
-                f"# HELP {prefix}_span_seconds "
-                "Summed duration of each traced span path."
-            )
-            lines.append(f"# TYPE {prefix}_span_seconds gauge")
-            for path, seconds in sorted(span_totals.items()):
-                lines.append(
-                    f'{prefix}_span_seconds{{path="{path}"}} {seconds:.9f}'
-                )
-        if self.histograms:
-            lines.append(
-                f"# HELP {prefix}_histogram "
-                "Instrumentation histogram distributions for one run."
-            )
-            lines.append(f"# TYPE {prefix}_histogram histogram")
-            for name, data in sorted(self.histograms.items()):
-                bounds = [float(b) for b in data["bounds"]]
-                counts = [int(c) for c in data["bucket_counts"]]
-                cumulative = 0
-                for bound, count in zip(
-                    bounds + [math.inf], counts
-                ):
-                    cumulative += count
-                    lines.append(
-                        f'{prefix}_histogram_bucket{{name="{name}",'
-                        f'le="{format_le(bound)}"}} {cumulative}'
-                    )
-                lines.append(
-                    f'{prefix}_histogram_sum{{name="{name}"}} '
-                    f"{float(data['sum']):.9g}"
-                )
-                lines.append(
-                    f'{prefix}_histogram_count{{name="{name}"}} '
-                    f"{int(data['count'])}"
-                )
-        return "\n".join(lines) + "\n"
-
 
 def _render_histograms(histograms: dict[str, dict[str, Any]]) -> str:
     """Percentile table for ``--profile``: one row per histogram."""
@@ -359,47 +295,3 @@ def _render_histograms(histograms: dict[str, dict[str, Any]]) -> str:
             f"{hist.p50:>10.4g} {hist.p95:>10.4g} {hist.max:>10.4g}"
         )
     return "\n".join(rows)
-
-
-def format_le(bound: float) -> str:
-    """Canonical ``le`` label value for a bucket boundary.
-
-    Round-trip safe: ``float(format_le(b)) == b`` for every boundary,
-    including ``.``-bearing fractions (shortest-repr formatting) and
-    the infinite overflow bucket (``"+Inf"``, which ``float`` parses
-    back to ``inf``).
-    """
-    if math.isinf(bound):
-        return "+Inf" if bound > 0 else "-Inf"
-    if bound == int(bound) and abs(bound) < 1e15:
-        return str(int(bound))
-    return repr(bound)
-
-
-def sanitize_metric_name(name: str) -> str:
-    """A Prometheus-legal metric name fragment (used by exporters that
-    flatten counter/histogram names into metric names rather than
-    labels).
-
-    Invertible for dot-namespaced names: pre-existing underscores are
-    doubled before ``.`` maps to ``_``, so
-    :func:`desanitize_metric_name` recovers the original — including
-    flattened bucket boundaries like ``0.005`` or ``inf`` (all-legal
-    characters pass through untouched).  Other illegal characters
-    collapse to ``_`` (lossy, for display only).
-    """
-    out = name.replace("_", "__")
-    out = _PROM_SANITIZE.sub("_", out)
-    if out and out[0].isdigit():
-        out = "_" + out
-    return out
-
-
-def desanitize_metric_name(name: str) -> str:
-    """Invert :func:`sanitize_metric_name` for names whose only
-    illegal characters were dots (the dot-namespaced registry names
-    and numeric bucket boundaries): ``__`` becomes ``_``, remaining
-    single ``_`` becomes ``.``."""
-    return (
-        name.replace("__", "\x00").replace("_", ".").replace("\x00", "_")
-    )

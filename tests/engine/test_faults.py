@@ -9,6 +9,8 @@ test: whatever the pool does, scores must come out bit-identical to the
 serial reference.
 """
 
+import multiprocessing
+import os
 import random
 import time
 
@@ -26,6 +28,7 @@ from repro.engine import (
     pack_database,
     run_groups,
 )
+from repro.engine import executor
 from repro.engine.faults import DeadlineClock
 from repro.sequence import Database, QueryProfile, Sequence, random_protein
 
@@ -179,6 +182,44 @@ class TestTimeoutRetrySerial:
         # Each garbage group failed twice in the pool (initial + retry).
         assert c["engine.executor.garbage_results"] == 4
         assert c["engine.executor.serial_retry_groups"] == 2
+
+
+class TestTaskError:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched scorer reaches the workers only by fork",
+    )
+    def test_raising_task_is_counted_and_retried(
+        self, db, query, reference, tmp_path, monkeypatch
+    ):
+        """A pool task whose scorer raises is counted as a task error
+        and retried in the pool; the scores stay exact."""
+        parent = os.getpid()
+        marker = str(tmp_path / "raised")
+        score_group = executor._score_group
+
+        def raise_once(*args):
+            if os.getpid() != parent:
+                try:
+                    # O_EXCL: exactly one worker attempt ever raises.
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    raise RuntimeError("injected task error")
+            return score_group(*args)
+
+        monkeypatch.setattr(executor, "_score_group", raise_once)
+        policy = FaultPolicy(chunksize=1, retries=1, backoff=0.01)
+        scores, c = degraded_search(db, query, policy)
+        assert np.array_equal(scores, reference)
+        assert c["engine.executor.task_errors"] == 1
+        assert c["engine.executor.retries"] == 1
+        assert "engine.executor.serial_retry_groups" not in c
+        assert (
+            c["engine.executor.pool_completed_groups"]
+            == c["engine.executor.groups_dispatched"]
+        )
 
 
 class TestDeadline:

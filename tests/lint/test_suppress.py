@@ -91,8 +91,8 @@ class TestSuppressionDirectives:
 
     def test_comma_separated_rule_list(self):
         smap = scan_suppressions(
-            "x = 1  # repro-lint: disable=RPL101, RPL102\n"
+            "x = 1  # repro-lint: disable=RPL102, RPL105\n"
         )
-        assert smap.is_suppressed(1, "RPL101", "shallow-swap")
         assert smap.is_suppressed(1, "RPL102", "dtype-stability")
+        assert smap.is_suppressed(1, "RPL105", "except-swallow")
         assert not smap.is_suppressed(1, "RPL103", "unseeded-random")

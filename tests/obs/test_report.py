@@ -1,18 +1,10 @@
 """Unit tests for the RunReport document."""
 
 import json
-import math
 
 import pytest
 
-from repro.obs import (
-    SCHEMA_VERSION,
-    RunReport,
-    collect,
-    desanitize_metric_name,
-    format_le,
-    sanitize_metric_name,
-)
+from repro.obs import SCHEMA_VERSION, RunReport, collect
 
 
 def _session():
@@ -127,64 +119,6 @@ class TestRunReport:
         assert m["intra_global_transactions"] > 0
         json.dumps(report.to_dict())  # fully serializable
 
-    def test_prometheus_exposition(self):
-        report = RunReport.from_instrumentation(_session())
-        text = report.to_prometheus()
-        assert "# TYPE repro_counter_total counter" in text
-        assert (
-            'repro_counter_total{name="engine.pack.residues"} 100' in text
-        )
-        assert "# TYPE repro_span_seconds gauge" in text
-        assert 'repro_span_seconds{path="search/pack"}' in text
-        assert text.endswith("\n")
-
-    def test_prometheus_histogram_family(self):
-        report = RunReport.from_instrumentation(_session())
-        text = report.to_prometheus()
-        assert "# TYPE repro_histogram histogram" in text
-        bucket_lines = [
-            line
-            for line in text.splitlines()
-            if line.startswith("repro_histogram_bucket")
-            and 'name="engine.sweep.group_seconds"' in line
-        ]
-        # Cumulative counts, ending at the +Inf catch-all == _count.
-        counts = [int(line.rsplit(" ", 1)[1]) for line in bucket_lines]
-        assert counts == sorted(counts)
-        assert 'le="+Inf"' in bucket_lines[-1]
-        assert counts[-1] == 2
-        assert (
-            'repro_histogram_count{name="engine.sweep.group_seconds"} 2'
-            in text
-        )
-        sum_line = next(
-            line
-            for line in text.splitlines()
-            if line.startswith("repro_histogram_sum")
-            and 'name="engine.sweep.group_seconds"' in line
-        )
-        assert float(sum_line.rsplit(" ", 1)[1]) == pytest.approx(0.42)
-
-    def test_prometheus_le_labels_parse_back_to_bounds(self):
-        from repro.obs import bucket_scheme
-
-        report = RunReport.from_instrumentation(_session())
-        text = report.to_prometheus()
-        les = [
-            line.split('le="')[1].split('"')[0]
-            for line in text.splitlines()
-            if line.startswith("repro_histogram_bucket")
-        ]
-        bounds = list(bucket_scheme("engine.sweep.group_seconds"))
-        assert les[-1] == "+Inf"
-        assert [float(le) for le in les[:-1]] == bounds
-
-    def test_prometheus_custom_prefix(self):
-        report = RunReport.from_instrumentation(_session())
-        assert "cudasw_counter_total" in report.to_prometheus(
-            prefix="cudasw"
-        )
-
 
 class TestTraceExport:
     def test_trace_document_shape(self, tmp_path):
@@ -219,42 +153,3 @@ class TestTraceExport:
         loaded = json.loads(path.read_text())
         assert loaded == report.to_trace_dict()
         assert loaded["otherData"]["collect"] == "full"
-
-
-class TestSanitizeMetricName:
-    def test_replaces_illegal_characters(self):
-        assert (
-            sanitize_metric_name("kernel.intra_improved(T=256,H=4).cells")
-            == "kernel_intra__improved_T_256_H_4__cells"
-        )
-
-    def test_leading_digit_prefixed(self):
-        assert sanitize_metric_name("9lives") == "_9lives"
-
-    def test_injective_on_dot_vs_underscore(self):
-        # 'a.b' and 'a_b' must not collide into one Prometheus series.
-        assert sanitize_metric_name("a.b") != sanitize_metric_name("a_b")
-
-    def test_desanitize_round_trips_registry_names(self):
-        for name in (
-            "engine.sweep.group_seconds",
-            "engine.pack.group_efficiency",
-            "engine.striped.lazy_f_rounds",
-            "engine.executor.retry_delay_seconds",
-            "engine.mem.sweep_parallel.peak_bytes",
-        ):
-            assert desanitize_metric_name(sanitize_metric_name(name)) == name
-
-
-class TestFormatLe:
-    def test_round_trips_to_exact_bound(self):
-        for bound in (0.005, 0.25, 1.0, 2.5, 1000.0, 1e6, 0.1 + 0.2):
-            assert float(format_le(bound)) == bound
-
-    def test_integral_bounds_render_without_point(self):
-        assert format_le(1000.0) == "1000"
-        assert format_le(1.0) == "1"
-
-    def test_infinities(self):
-        assert format_le(math.inf) == "+Inf"
-        assert format_le(-math.inf) == "-Inf"

@@ -535,6 +535,36 @@ class TestDbStore:
         assert code == 0
         assert "db_open" in text
 
+    def test_metrics_out_meta_is_the_library_meta(
+        self, fasta_files, store_path, tmp_path
+    ):
+        # The CLI's RunReport meta is CudaSW.search's plus the label of
+        # the database it was pointed at.
+        import json
+
+        from repro.app import CudaSW
+        from repro.engine import open_database
+        from repro.sequence import read_fasta_file
+
+        path = tmp_path / "run.json"
+        code, _ = run_cli(
+            ["search", fasta_files["query"], "--db", store_path,
+             "--metrics-out", str(path)]
+        )
+        assert code == 0
+        meta = json.loads(path.read_text())["meta"]
+        assert list(meta) == [
+            "query_id", "query_length", "database", "database_sequences",
+            "database_residues", "engine", "workers", "device",
+            "database_store",
+        ]
+        assert meta["database"] == store_path
+        app = CudaSW()
+        (query,) = read_fasta_file(fasta_files["query"])
+        app.search(query, open_database(store_path), collect="counters")
+        del meta["database"]
+        assert app.last_run_report.meta == meta
+
 
 class TestParser:
     def test_requires_subcommand(self):
